@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the degree-reduction algorithm on a multiplicity vector")
     p.add_argument("vector", help='multiplicity vector, e.g. "(6;3,3,2,2,2,2)"')
     p.add_argument("--no-quintic", action="store_true", help="restrict to quadratic steps")
-    p.add_argument("--force", action="store_true", help="apply steps even when a multiplicity would go negative")
+    p.add_argument("--force", action="store_true", help="skip the rationality (genus proxy) precondition")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_reduce)
 

@@ -9,6 +9,12 @@ C = d e0 - sum a_i e_i, the two conditions become the Diophantine pair
 which prunes the coefficient box hard enough for exhaustive search at desk
 scale.  Enumeration is by degree; within a degree, descending coefficient
 multisets are found recursively and then expanded over the point indices.
+The expansion emits each distinct arrangement of a multiset exactly once,
+so its work is proportional to the number of classes returned.  That
+number is the sum of the multisets' multinomial coefficients; it is
+counted before anything is expanded, and a search that would return more
+than ``MAX_CLASSES`` classes is refused up front.  Both defining equations
+are re-checked on the whole result in one exact int64 pass.
 
 Effectivity is NOT decided here: output classes are numerical candidates.
 The default "effective-shape" filter keeps d >= 1 classes with all a_i >= 0
@@ -19,6 +25,8 @@ and, at d = 0, only the exceptional shapes e_i - (sum of later e_j); the
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,10 @@ from .lattice import DivisorClass, Hirzebruch, IntersectionLattice, P2, make_lat
 
 MAX_RANK = 15
 MAX_CAP = 20
+# Largest result enumerate_negative_classes builds.  A class costs about
+# 20 us and 1.3 kB of peak memory (2-vCPU x86-64, Python 3.11), so a search
+# at the budget takes about 2 s and 130 MB.
+MAX_CLASSES = 100_000
 
 
 def _descending_tuples(total: int, total_sq: int, slots: int, max_part: int):
@@ -35,13 +47,9 @@ def _descending_tuples(total: int, total_sq: int, slots: int, max_part: int):
         if total == 0 and total_sq == 0:
             yield ()
         return
-    top = min(max_part, total)
-    while top * top > total_sq:
-        top -= 1
+    top = min(max_part, total, math.isqrt(total_sq))
     for first in range(top, -1, -1):
         rest, rest_sq = total - first, total_sq - first * first
-        if rest < 0 or rest_sq < 0:
-            continue
         # remaining slots each at most `first`, so sums are bounded
         if rest > first * (slots - 1) or rest_sq > first * first * (slots - 1):
             continue
@@ -50,12 +58,35 @@ def _descending_tuples(total: int, total_sq: int, slots: int, max_part: int):
 
 
 def _distinct_arrangements(values):
-    """All distinct orderings of a multiset (itertools.permutations dedup)."""
-    seen = set()
-    for p in itertools.permutations(values):
-        if p not in seen:
-            seen.add(p)
-            yield p
+    """Each distinct ordering of a multiset, exactly once.
+
+    The distinct values take their slots in turn, rarest first: every choice
+    of slots for one value among those still free, then the next value, so
+    no ordering is produced twice and the most frequent value fills the
+    remaining slots in a single way.
+    """
+    groups = sorted(Counter(values).items(), key=lambda vc: vc[1])
+    slots = [None] * sum(c for _, c in groups)
+
+    def place(g, free):
+        if g == len(groups):
+            yield tuple(slots)
+            return
+        value, count = groups[g]
+        for chosen in itertools.combinations(free, count):
+            for i in chosen:
+                slots[i] = value
+            yield from place(g + 1, [i for i in free if i not in chosen])
+
+    return place(0, range(len(slots)))
+
+
+def _arrangement_count(values) -> int:
+    """Number of distinct orderings of a multiset (a multinomial coefficient)."""
+    count = math.factorial(len(values))
+    for c in Counter(values).values():
+        count //= math.factorial(c)
+    return count
 
 
 def enumerate_negative_classes(
@@ -68,7 +99,8 @@ def enumerate_negative_classes(
 
     ``shape`` is "effective-shape" (default) or "lattice-only"; see the
     module docstring.  Degree on a Hirzebruch lattice means the pair of
-    ruling coefficients, both capped.
+    ruling coefficients, both capped.  Raises ValueError before any class
+    is built if the result would hold more than ``MAX_CLASSES`` classes.
 
     TESTS::
 
@@ -88,22 +120,69 @@ def enumerate_negative_classes(
         raise ValueError(
             f"search budget exceeded: rank <= {MAX_RANK} and cap <= {MAX_CAP}"
         )
+    head = lattice.rank - lattice.n_blowups
+    blocks, total = [], 0
+    for h, m in _multisets(lattice, n, degree_cap, shape):
+        total += _arrangement_count(m)
+        if total > MAX_CLASSES:
+            raise ValueError(
+                f"class budget exceeded: more than MAX_CLASSES = {MAX_CLASSES:,} "
+                f"classes ({total:,} counted before stopping)"
+            )
+        blocks.append((h, m))
+    rows = [h + arr for h, m in blocks for arr in _distinct_arrangements(m)]
+
+    def canonical_key(row):
+        tail = row[head:]
+        return (row[:head], tuple((i, -v) for i, v in enumerate(tail) if v))
+
+    rows.sort(key=canonical_key)
+    _assert_negative_classes(rows, lattice, n)
+    return [DivisorClass(lattice, row) for row in rows]
+
+
+def _multisets(lattice, n, cap, shape):
+    """(head coefficients, multiset of exceptional coefficients) per block.
+
+    Writing C = head - sum a_i e_i, each head within the cap fixes the sum
+    and the sum of squares of the a_i.  The multisets hold the coefficients
+    -a_i themselves, in descending order of a_i.
+    """
+    k = lattice.n_blowups
     if isinstance(lattice.base, P2):
-        out = _enumerate_p2(lattice, n, degree_cap, shape)
-        head = 1
+        heads = [((d,), 3 * d + n - 2, d * d + n) for d in range(cap + 1)]
     else:
-        out = _enumerate_hirzebruch(lattice, n, degree_cap, shape)
-        head = 2
+        b = lattice.base.b
+        heads = [
+            ((alpha, beta), n - 2 + 2 * alpha - (b - 2) * beta,
+             2 * alpha * beta - b * beta * beta + n)
+            for beta in range(cap + 1)
+            for alpha in range(cap + 1)
+        ]
+    for h, s1, s2 in heads:
+        if not any(h):
+            # classes supported on the exceptionals; signs may mix
+            for arr in _signed_zero_degree(k, s1, s2):
+                if shape == "lattice-only" or _exceptional_shape(arr):
+                    yield h, tuple(-a for a in arr)
+        elif s1 >= 0 and s2 >= 0:
+            for desc in _descending_tuples(s1, s2, k, s1):
+                yield h, tuple(-a for a in desc)
 
-    def canonical_key(c):
-        tail = c.coeffs[head:]
-        return (c.coeffs[:head], tuple((i, -v) for i, v in enumerate(tail) if v))
 
-    out.sort(key=canonical_key)
-    for c in out:
-        assert c.self_intersection() == -n
-        assert c.dot(lattice.canonical) == n - 2
-    return out
+def _assert_negative_classes(rows, lattice, n):
+    """C^2 = -n and C.K = n - 2 for every row, in one int64 pass.
+
+    The rows are coefficient tuples within the cap, whose squares sum to at
+    most a few thousand, so no product or sum comes near the int64 range.
+    """
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), lattice.rank)
+    gram = np.array(lattice.gram, dtype=np.int64)
+    canonical = np.array(lattice.canonical_coeffs, dtype=np.int64)
+    a_gram = a @ gram
+    bad = np.flatnonzero(((a_gram * a).sum(axis=1) != -n) | (a_gram @ canonical != n - 2))
+    if bad.size:
+        raise AssertionError(f"class {rows[bad[0]]} is not a numerical (-{n})-class")
 
 
 def _exceptional_shape(arr) -> bool:
@@ -111,31 +190,11 @@ def _exceptional_shape(arr) -> bool:
     return sorted(arr)[0] == -1 and all(a in (-1, 0, 1) for a in arr) and arr.count(-1) == 1
 
 
-def _enumerate_p2(lattice, n, cap, shape):
-    k = lattice.n_blowups
-    out = []
-    for d in range(cap + 1):
-        s1 = 3 * d + n - 2
-        s2 = d * d + n
-        if d == 0:
-            # classes supported on the exceptionals; signs may mix
-            for arr in _signed_zero_degree(k, s1, s2):
-                if shape == "lattice-only" or _exceptional_shape(list(arr)):
-                    out.append(lattice.make_class((0,) + tuple(-a for a in arr)))
-            continue
-        if s1 < 0:
-            continue
-        for desc in _descending_tuples(s1, s2, k, s1):
-            for arr in _distinct_arrangements(desc):
-                out.append(lattice.make_class((d,) + tuple(-a for a in arr)))
-    return out
-
-
 def _signed_zero_degree(k, s1, s2):
-    """Integer k-tuples with given sum and sum of squares, any signs."""
+    """Non-decreasing integer k-tuples with given sum and sum of squares."""
     if s2 < 0:
         return
-    bound = int(s2**0.5)
+    bound = math.isqrt(s2)
 
     def rec(slots, total, total_sq, lo):
         # non-decreasing tuples with entries in [lo, bound]
@@ -151,33 +210,7 @@ def _signed_zero_degree(k, s1, s2):
             for tail in rec(slots - 1, total - v, total_sq - v * v, v):
                 yield (v,) + tail
 
-    for nondec in rec(k, s1, s2, -bound):
-        yield from _distinct_arrangements(nondec)
-
-
-def _enumerate_hirzebruch(lattice, n, cap, shape):
-    b = lattice.base.b
-    k = lattice.n_blowups
-    out = []
-    for beta in range(cap + 1):
-        for alpha in range(cap + 1):
-            if alpha == 0 and beta == 0:
-                s1 = n - 2
-                s2 = n
-                for arr in _signed_zero_degree(k, s1, s2):
-                    if shape == "lattice-only" or _exceptional_shape(list(arr)):
-                        out.append(lattice.make_class((0, 0) + tuple(-a for a in arr)))
-                continue
-            s1 = n - 2 + 2 * alpha - (b - 2) * beta
-            s2 = 2 * alpha * beta - b * beta * beta + n
-            if s1 < 0 or s2 < 0:
-                continue
-            for desc in _descending_tuples(s1, s2, k, s1):
-                for arr in _distinct_arrangements(desc):
-                    out.append(
-                        lattice.make_class((alpha, beta) + tuple(-a for a in arr))
-                    )
-    return out
+    yield from rec(k, s1, s2, -bound)
 
 
 @dataclass(frozen=True)
@@ -190,11 +223,14 @@ class PairingGrowthRow:
 def exceptional_pairing_growth(caps, n_points: int = 9) -> list[PairingGrowthRow]:
     """Table of max E'.E over enumerated (-1)-classes E', for E the last point.
 
-    For each cap (ascending), enumerates all numerical (-1)-classes with
-    degree up to the cap and records how many there are and the largest
-    pairing against the fixed exceptional class of the last blown-up point.
-    For every ordered pair (A, B) of enumerated classes the difference
-    identity (A - B)^2 = -2 - 2 A.B is asserted by direct evaluation.
+    For each cap (ascending), the number of numerical (-1)-classes with
+    degree up to the cap and their largest pairing against the fixed
+    exceptional class of the last blown-up point.  The classes are
+    enumerated once, at the largest cap; they come out sorted by degree, so
+    each row reads a prefix of that list.  For every ordered pair (A, B) of
+    those classes the difference identity (A - B)^2 = -2 - 2 A.B is
+    asserted by direct evaluation; every pair at a smaller cap is among
+    them.
 
     The max column never decreases, and over caps 1..8 it grows: there is
     no finite bound on how positively two (-1)-classes can meet once the
@@ -209,39 +245,57 @@ def exceptional_pairing_growth(caps, n_points: int = 9) -> list[PairingGrowthRow
     caps = list(caps)
     if caps != sorted(caps):
         raise ValueError("caps must be ascending")
+    if not caps:
+        return []
+    if caps[0] < 0:
+        raise ValueError("degree cap must be >= 0")
     lattice = make_lattice(P2(), n_points)
+    classes = enumerate_negative_classes(lattice, 1, caps[-1])
+    if not classes:
+        raise ValueError(f"no (-1)-classes on {n_points} points up to degree {caps[-1]}")
     e_last = lattice.basis_class(lattice.basis_labels[-1])
     sign = np.array([1] + [-1] * n_points, dtype=np.int64)
     e_vec = np.array(e_last.coeffs, dtype=np.int64)
-    rows = []
-    for cap in caps:
-        classes = enumerate_negative_classes(lattice, 1, cap)
-        a = np.array([c.coeffs for c in classes], dtype=np.int64)
-        pair_with_e = (a * sign) @ e_vec
-        _assert_difference_identity(a, sign)
-        rows.append(
-            PairingGrowthRow(
-                cap=cap,
-                class_count=len(classes),
-                max_pairing=int(pair_with_e.max()),
-            )
-        )
-    return rows
+    a = np.array([c.coeffs for c in classes], dtype=np.int64)
+    _assert_difference_identity(a, sign)
+    best = np.maximum.accumulate((a * sign) @ e_vec)
+    counts = np.searchsorted(a[:, 0], caps, side="right")
+    return [
+        PairingGrowthRow(cap=cap, class_count=int(m), max_pairing=int(best[m - 1]))
+        for cap, m in zip(caps, counts)
+    ]
 
 
-def _assert_difference_identity(a: np.ndarray, sign: np.ndarray, chunk: int = 64):
-    """(A - B)^2 = -2 - 2 A.B for all rows A, B, evaluated directly."""
-    n = a.shape[0]
-    a_signed = a * sign
-    for lo in range(0, n, chunk):
-        block = a[lo : lo + chunk]
-        diffs = block[:, None, :] - a[None, :, :]
-        lhs = (diffs * diffs * sign).sum(axis=-1)
-        rhs = -2 - 2 * (block @ a_signed.T)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
+def _assert_difference_identity(a: np.ndarray, sign: np.ndarray, cells: int = 1 << 16):
+    """(A - B)^2 = -2 - 2 A.B for all rows A, B, evaluated directly.
+
+    Both sides are summed one rank column at a time into block x N int32
+    arrays of about ``cells`` entries, so memory stays bounded whatever N
+    and the rank are.
+    """
+    n, rank = a.shape
+    big = int(np.abs(a).max(initial=0))
+    # |(A - B)^2| <= rank (2 big)^2 and |2 A.B| <= 2 rank big^2
+    if 4 * rank * big * big + 2 > np.iinfo(np.int32).max:
+        raise OverflowError(f"coefficients up to {big} at rank {rank} overflow int32")
+    cols = np.ascontiguousarray(a.T, dtype=np.int32)
+    step = max(1, cells // max(n, 1))
+    for lo in range(0, n, step):
+        block = cols[:, lo : lo + step, None]
+        lhs = np.zeros((block.shape[1], n), dtype=np.int32)
+        dot = np.zeros_like(lhs)
+        term = np.empty_like(lhs)
+        for j in range(rank):
+            accumulate = np.add if sign[j] > 0 else np.subtract
+            np.subtract(block[j], cols[j], out=term)
+            np.multiply(term, term, out=term)
+            accumulate(lhs, term, out=lhs)
+            np.multiply(block[j], cols[j], out=term)
+            accumulate(dot, term, out=dot)
+        bad = np.argwhere(lhs != -2 - 2 * dot)
+        if bad.size:
             raise AssertionError(
-                f"difference identity fails for pair ({lo + bad[0]}, {bad[1]})"
+                f"difference identity fails for pair ({lo + bad[0][0]}, {bad[0][1]})"
             )
 
 

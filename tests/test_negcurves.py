@@ -1,9 +1,20 @@
 """Bounded enumeration of negative classes and the pairing-growth table."""
 
-import pytest
+import itertools
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coble import negcurves
 from coble.lattice import P2, Hirzebruch, make_lattice
 from coble.negcurves import (
+    MAX_CLASSES,
+    _arrangement_count,
+    _assert_difference_identity,
+    _distinct_arrangements,
     basic_surface_check,
     enumerate_negative_classes,
     exceptional_pairing_growth,
@@ -99,3 +110,132 @@ def test_basic_surface_check():
     assert "K^2 = -1" in clean.summary()
     with pytest.raises(ValueError):
         basic_surface_check([])
+
+
+# Reference path: the enumeration as it ran before arrangements were generated
+# directly.  It steps through all k! permutations of each coefficient multiset
+# and drops repeats with a set, and checks both equations class by class.
+
+
+def _oracle_arrangements(values):
+    seen = set()
+    for p in itertools.permutations(values):
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
+def _oracle_descending(total, total_sq, slots, max_part):
+    if slots == 0:
+        if total == 0 and total_sq == 0:
+            yield ()
+        return
+    for first in range(min(max_part, total), -1, -1):
+        rest, rest_sq = total - first, total_sq - first * first
+        if rest < 0 or rest_sq < 0:
+            continue
+        if rest > first * (slots - 1) or rest_sq > first * first * (slots - 1):
+            continue
+        for tail in _oracle_descending(rest, rest_sq, slots - 1, first):
+            yield (first,) + tail
+
+
+def _oracle_signed(k, s1, s2):
+    bound = math.isqrt(s2)
+    for t in itertools.combinations_with_replacement(range(-bound, bound + 1), k):
+        if sum(t) == s1 and sum(v * v for v in t) == s2:
+            yield from _oracle_arrangements(t)
+
+
+def _oracle_classes(lattice, n, cap, shape):
+    k = lattice.n_blowups
+    if isinstance(lattice.base, P2):
+        heads = [((d,), 3 * d + n - 2, d * d + n) for d in range(cap + 1)]
+    else:
+        b = lattice.base.b
+        heads = [
+            ((al, be), n - 2 + 2 * al - (b - 2) * be, 2 * al * be - b * be * be + n)
+            for be in range(cap + 1)
+            for al in range(cap + 1)
+        ]
+    out = []
+    for head, s1, s2 in heads:
+        if not any(head):
+            arrs = [
+                a
+                for a in _oracle_signed(k, s1, s2)
+                if shape == "lattice-only" or (a.count(-1) == 1 and set(a) <= {-1, 0, 1})
+            ]
+        elif s1 < 0 or s2 < 0:
+            continue
+        else:
+            arrs = [
+                p for m in _oracle_descending(s1, s2, k, s1) for p in _oracle_arrangements(m)
+            ]
+        out += [lattice.make_class(head + tuple(-a for a in arr)) for arr in arrs]
+    h = len(heads[0][0])
+    out.sort(key=lambda c: (c.coeffs[:h], tuple((i, -v) for i, v in enumerate(c.coeffs[h:]) if v)))
+    for c in out:
+        assert c.self_intersection() == -n and c.dot(lattice.canonical) == n - 2
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 4), max_size=8))
+def test_distinct_arrangements_match_permutation_dedup(values):
+    got = list(_distinct_arrangements(values))
+    assert len(got) == len(set(got)) == _arrangement_count(values)
+    assert set(got) == set(_oracle_arrangements(values))
+
+
+@pytest.mark.parametrize(
+    "base, points, caps",
+    [(P2(), range(9), (2, 3, 4))] + [(Hirzebruch(b), range(8), (1, 2, 3)) for b in range(4)],
+    ids=["P2", "F0", "F1", "F2", "F3"],
+)
+def test_class_lists_match_oracle(base, points, caps):
+    for k in points:
+        lat = make_lattice(base, k)
+        for n, cap, shape in itertools.product((1, 2, 3), caps, ("effective-shape", "lattice-only")):
+            assert enumerate_negative_classes(lat, n, cap, shape) == _oracle_classes(
+                lat, n, cap, shape
+            ), (k, n, cap, shape)
+
+
+def test_growth_rows_match_separate_enumerations():
+    lat = make_lattice(P2(), 9)
+    e9 = lat.basis_class("e9")
+    rows = exceptional_pairing_growth(range(1, 6))
+    assert [r.cap for r in rows] == [1, 2, 3, 4, 5]
+    for row in rows:
+        classes = enumerate_negative_classes(lat, 1, row.cap)
+        assert row.class_count == len(classes)
+        assert row.max_pairing == max(c.dot(e9) for c in classes)
+    assert exceptional_pairing_growth([]) == []
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        exceptional_pairing_growth([-1, 2])
+
+
+def test_difference_identity_check_is_live():
+    sign = np.array([1, -1, -1])
+    minus_ones = np.array([[0, 1, 0], [0, 0, 1], [1, -1, -1]])
+    _assert_difference_identity(minus_ones, sign)
+    # e0 has square +1, so no pair involving it satisfies the identity
+    with pytest.raises(AssertionError, match="difference identity fails"):
+        _assert_difference_identity(np.vstack([minus_ones, [1, 0, 0]]), sign)
+    with pytest.raises(OverflowError, match="int32"):
+        _assert_difference_identity(np.array([[0, 20000, 0]]), sign)
+
+
+def test_class_budget_refuses_up_front(monkeypatch):
+    # 11 points at cap 4 gives 12,573 classes, inside the budget; 12 points
+    # at cap 6 would give 595,596 and is refused before any is built
+    assert len(enumerate_negative_classes(make_lattice(P2(), 11), 1, 4)) == 12573
+    with pytest.raises(ValueError, match=f"MAX_CLASSES = {MAX_CLASSES:,}"):
+        enumerate_negative_classes(make_lattice(P2(), 12), 1, 6)
+    lat = make_lattice(P2(), 3)
+    monkeypatch.setattr(negcurves, "MAX_CLASSES", 6)
+    assert len(enumerate_negative_classes(lat, 1, 5)) == 6
+    monkeypatch.setattr(negcurves, "MAX_CLASSES", 5)
+    with pytest.raises(ValueError, match=r"class budget exceeded: .* \(6 counted"):
+        enumerate_negative_classes(lat, 1, 5)
