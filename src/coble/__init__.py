@@ -41,8 +41,6 @@ from .blowup import (
     configuration_from_classes,
     make_assignment,
     proper_transform,
-    sequence_from_json,
-    sequence_to_json,
     total_transform,
     verify_class_identity,
 )

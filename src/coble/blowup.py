@@ -21,7 +21,6 @@ bookkeeping exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .config import CurveConfiguration, Edge, Node
@@ -30,7 +29,6 @@ from .lattice import (
     DivisorClass,
     IntersectionLattice,
     LatticeMismatch,
-    base_from_json,
     make_lattice,
     pair,
 )
@@ -116,28 +114,12 @@ class BlowUpSequence:
         )
         return self._lattice.make_class(coeffs)
 
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.json_descriptor(),
-            "centers": [
-                {"id": c.id, "parent": c.parent, "on": list(c.on_curves)}
-                for c in self.centers
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class CurveAssignment:
     label: str
     base_class: DivisorClass
     mults: dict
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "class": list(self.base_class.coeffs),
-            "mults": dict(self.mults),
-        }
 
 
 def make_assignment(seq: BlowUpSequence, label: str, base_class: DivisorClass, mults=None) -> CurveAssignment:
@@ -260,42 +242,6 @@ def verify_class_identity(seq: BlowUpSequence, assignments, lhs, rhs) -> Identit
     for term in rhs:
         acc = acc - _resolve_term(seq, assignments, term)
     return IdentityReport(all(v == 0 for v in acc.coeffs), acc)
-
-
-def sequence_from_json(data):
-    """Parse {"base":..., "centers":[...], "curves":[...]} into a sequence.
-
-    Returns (BlowUpSequence, {label: CurveAssignment}).  The "curves" key is
-    optional.  Round-trips with ``sequence_to_json``.
-    """
-    if isinstance(data, str):
-        data = json.loads(data)
-    base = base_from_json(data["base"])
-    centers = tuple(
-        Center(
-            id=str(c["id"]),
-            parent=c.get("parent"),
-            on_curves=tuple(c.get("on", ())),
-        )
-        for c in data["centers"]
-    )
-    seq = BlowUpSequence(base, centers)
-    base_lat = seq.base_lattice
-    curves = {}
-    for entry in data.get("curves", ()):
-        label = str(entry["label"])
-        cls = base_lat.make_class(tuple(int(x) for x in entry["class"]))
-        curves[label] = make_assignment(seq, label, cls, entry.get("mults", {}))
-    return seq, curves
-
-
-def sequence_to_json(seq: BlowUpSequence, assignments=()) -> dict:
-    data = seq.to_json()
-    if assignments:
-        if isinstance(assignments, dict):
-            assignments = assignments.values()
-        data["curves"] = [a.to_json() for a in assignments]
-    return data
 
 
 def configuration_from_classes(entries, overrides=None, triples=()) -> CurveConfiguration:

@@ -1,11 +1,13 @@
 """Catalog of worked constructions and the claim evaluation engine.
 
-Each catalog entry is a JSON data file shipped with the package.  Static
-entries embed their blow-up sequences, curve assignments, dual-graph
-configurations, and claims with frozen expected values.  Parametric
-entries store default parameters and the frozen expected values (as
-integers or affine forms in the parameters); their sequences and claim
-arguments are rebuilt by the matching constructor in ``constructions``.
+Each catalog entry is built by its builder in ``constructions.BUILDERS``,
+which makes the blow-up sequences, configurations and claim arguments.
+The JSON data file shipped with the package holds only what the builder
+is checked against: name, description, default parameters (empty for a
+static entry) and, per claim, its description, check name and frozen
+expected value (an integer or an affine form in the parameters).  A data
+file is regenerated as ``json.dumps(bundle_to_json(BUILDERS[name]()),
+indent=1)`` plus a final newline.
 
 ``verify_example`` evaluates every claim of an entry and reports each
 comparison.  The claim language:
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import constructions
-from .blowup import _resolve_term, sequence_from_json, sequence_to_json
+from .blowup import _resolve_term
 from .classify import (
     halphen_k3_predicate,
     input_from_json,
@@ -54,7 +56,6 @@ from .classify import (
     minimality_check,
     terminal_shape,
 )
-from .config import config_from_json
 from .cremona import noether_reduce, parse_vector
 from .fibers import recognize_fiber
 from .lattice import arithmetic_genus, pair
@@ -82,26 +83,17 @@ def load_entry(name: str) -> dict:
 
 
 def bundle_to_json(bundle) -> dict:
-    """Serialize a built example as a catalog data file."""
-    data = {
+    """Serialize a built example as a catalog data file: the frozen claims."""
+    return {
         "name": bundle.name,
         "description": bundle.description,
         "parametric": bundle.parametric,
         "parameters": dict(bundle.parameters),
+        "claims": [
+            {k: c[k] for k in ("description", "check", "expected")}
+            for c in bundle.claims
+        ],
     }
-    if bundle.parametric:
-        data["claims"] = [
-            {**c, "args": "builder"} for c in bundle.claims
-        ]
-    else:
-        data["sequences"] = {
-            n: sequence_to_json(seq, asg) for n, (seq, asg) in bundle.sequences.items()
-        }
-        data["configurations"] = {
-            n: cfg.to_json() for n, cfg in bundle.configurations.items()
-        }
-        data["claims"] = [dict(c) for c in bundle.claims]
-    return data
 
 
 def _affine_value(form: dict, params: dict) -> int:
@@ -302,29 +294,30 @@ class ExampleReport:
 
 
 def _materialize(entry: dict, params: dict | None):
-    """Sequences, configurations, and claim list for an entry."""
-    if entry.get("parametric"):
-        merged = dict(entry.get("parameters", {}))
-        merged.update(params or {})
-        bundle = constructions.BUILDERS[entry["name"]](**merged)
-        claims = []
-        for frozen, built in zip(entry["claims"], bundle.claims, strict=True):
-            if frozen["check"] != built["check"]:
-                raise ValueError(
-                    f"catalog data and constructor disagree on claim order for "
-                    f"{entry['name']!r}: {frozen['check']} vs {built['check']}"
-                )
-            claims.append({**built, "expected": frozen["expected"]})
-        return bundle.sequences, bundle.configurations, claims, merged
-    if params:
-        raise ValueError(f"catalog entry {entry['name']!r} takes no parameters")
-    sequences = {
-        n: sequence_from_json(d) for n, d in entry.get("sequences", {}).items()
-    }
-    configurations = {
-        n: config_from_json(d) for n, d in entry.get("configurations", {}).items()
-    }
-    return sequences, configurations, list(entry["claims"]), {}
+    """Build an entry: sequences, configurations, claims and parameters.
+
+    The builder makes every claim's arguments; the frozen expected values
+    come from the data file, matched to the built claims by position.
+    """
+    defaults = entry["parameters"]
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"catalog entry {entry['name']!r} takes no parameters named "
+            f"{', '.join(unknown)} (accepted: {', '.join(defaults) or 'none'})"
+        )
+    merged = {**defaults, **(params or {})}
+    bundle = constructions.BUILDERS[entry["name"]](**merged)
+    claims = []
+    for i, (frozen, built) in enumerate(zip(entry["claims"], bundle.claims, strict=True)):
+        if (frozen["check"], frozen["description"]) != (built["check"], built["description"]):
+            raise ValueError(
+                f"catalog data and constructor disagree on claim order for "
+                f"{entry['name']!r} at claim {i}: {frozen['check']} "
+                f"{frozen['description']!r} vs {built['check']} {built['description']!r}"
+            )
+        claims.append({**built, "expected": frozen["expected"]})
+    return bundle.sequences, bundle.configurations, claims, merged
 
 
 def verify_example(name: str, params: dict | None = None) -> ExampleReport:
@@ -364,8 +357,8 @@ def catalog_summary() -> list[dict]:
             {
                 "name": name,
                 "description": entry["description"],
-                "parametric": bool(entry.get("parametric")),
-                "parameters": entry.get("parameters", {}),
+                "parametric": entry["parametric"],
+                "parameters": entry["parameters"],
                 "claims": len(entry["claims"]),
             }
         )

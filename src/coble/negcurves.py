@@ -18,7 +18,7 @@ are re-checked on the whole result in one exact int64 pass.
 
 Effectivity is NOT decided here: output classes are numerical candidates.
 The default "effective-shape" filter keeps d >= 1 classes with all a_i >= 0
-and, at d = 0, only the exceptional shapes e_i - (sum of later e_j); the
+and, at d = 0, only the exceptional shapes e_i - (sum of other e_j); the
 "lattice-only" flag admits every d = 0 integer solution.
 """
 
@@ -186,7 +186,7 @@ def _assert_negative_classes(rows, lattice, n):
 
 
 def _exceptional_shape(arr) -> bool:
-    """One coefficient -1, the rest 0 or 1 (e_center minus later points)."""
+    """One coefficient -1, the rest 0 or 1 (e_center minus other points)."""
     return sorted(arr)[0] == -1 and all(a in (-1, 0, 1) for a in arr) and arr.count(-1) == 1
 
 

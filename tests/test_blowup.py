@@ -8,8 +8,6 @@ from coble.blowup import (
     configuration_from_classes,
     make_assignment,
     proper_transform,
-    sequence_from_json,
-    sequence_to_json,
     total_transform,
     verify_class_identity,
 )
@@ -141,21 +139,6 @@ def test_identity_term_errors():
     # exceptional labels are not base basis labels
     with pytest.raises(KeyError):
         verify_class_identity(seq, {}, [("b:p", 1)], [])
-
-
-def test_sequence_json_round_trip():
-    seq = BlowUpSequence(
-        Hirzebruch(1),
-        (Center("a", on_curves=("F",)), Center("b", parent="a")),
-    )
-    f = seq.base_lattice.make_class((1, 0))
-    curves = {"F": make_assignment(seq, "F", f, {"a": 1})}
-    data = sequence_to_json(seq, curves)
-    seq2, curves2 = sequence_from_json(data)
-    assert seq2 == seq
-    assert curves2["F"].base_class == curves["F"].base_class
-    assert curves2["F"].mults == curves["F"].mults
-    assert sequence_to_json(seq2, curves2) == data
 
 
 def test_configuration_from_classes():

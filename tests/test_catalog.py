@@ -2,6 +2,7 @@
 
 import pytest
 
+from coble import catalog
 from coble.catalog import (
     bundle_to_json,
     catalog_names,
@@ -10,7 +11,7 @@ from coble.catalog import (
     run_check,
     verify_example,
 )
-from coble.constructions import BUILDERS
+from coble.constructions import BUILDERS, MAX_BLOWUPS, scroll_fiber_tower
 
 
 def test_every_entry_verifies():
@@ -23,7 +24,8 @@ def test_every_entry_verifies():
 
 
 def test_data_files_match_builders():
-    # the frozen JSON is exactly what the in-code constructors produce
+    # each data file holds exactly the builder's claims (description, check,
+    # frozen expected value) in the builder's order, and nothing else
     for name, builder in BUILDERS.items():
         assert bundle_to_json(builder()) == load_entry(name)
 
@@ -36,6 +38,39 @@ def test_unknown_entry():
 def test_static_entries_take_no_parameters():
     with pytest.raises(ValueError, match="takes no parameters"):
         verify_example("triangle-pencil", {"n": 3})
+
+
+def test_unknown_parameter_is_refused():
+    with pytest.raises(ValueError, match=r"named x \(accepted: n, t, b\)"):
+        verify_example("scroll-fiber-tower", {"x": 3})
+    with pytest.raises(ValueError, match=r"named k \(accepted: m\)"):
+        verify_example("sections-to-minus-four", {"m": 2, "k": 1})
+
+
+def test_claim_disagreement_between_data_and_builder(monkeypatch):
+    entry = load_entry("triangle-pencil")
+    claims = entry["claims"]
+    # claims 0 and 1 share a check name, claims 1 and 2 do not
+    for i in (0, 1):
+        swapped = list(claims)
+        swapped[i], swapped[i + 1] = claims[i + 1], claims[i]
+        monkeypatch.setattr(catalog, "load_entry", lambda name: {**entry, "claims": swapped})
+        with pytest.raises(ValueError, match=f"disagree on claim order .* at claim {i}"):
+            verify_example("triangle-pencil")
+    shortened = {**entry, "claims": claims[:-1]}
+    monkeypatch.setattr(catalog, "load_entry", lambda name: shortened)
+    with pytest.raises(ValueError, match="argument 2 is longer than argument 1"):
+        verify_example("triangle-pencil")
+
+
+def test_blowup_budget_refuses_before_building():
+    n, t = 3, 0
+    b = MAX_BLOWUPS - n - t - 3
+    assert len(scroll_fiber_tower(n, t, b).sequences["X"][0].centers) == MAX_BLOWUPS
+    with pytest.raises(ValueError, match=f"{MAX_BLOWUPS + 1} blow-ups is over the budget of {MAX_BLOWUPS}"):
+        scroll_fiber_tower(n, t, b + 1)
+    with pytest.raises(ValueError, match="over the budget"):
+        verify_example("scroll-fiber-tower", {"b": 1_000_000})
 
 
 def test_parametric_sweeps():
@@ -71,12 +106,7 @@ def test_report_shape():
 
 
 def test_run_check_directly():
-    from coble.blowup import sequence_from_json
-
-    entry = load_entry("triangle-pencil")
-    sequences = {
-        n: sequence_from_json(d) for n, d in entry["sequences"].items()
-    }
+    sequences = BUILDERS["triangle-pencil"]().sequences
     seq_name = next(iter(sequences))
     assert (
         run_check(
@@ -96,12 +126,7 @@ def test_run_check_directly():
 
 
 def test_failed_claim_is_reported_not_raised():
-    from coble.blowup import sequence_from_json
-
-    entry = load_entry("triangle-pencil")
-    sequences = {
-        n: sequence_from_json(d) for n, d in entry["sequences"].items()
-    }
+    sequences = BUILDERS["triangle-pencil"]().sequences
     seq_name = next(iter(sequences))
     actual = run_check("k-squared", {"sequence": seq_name}, sequences, {})
     assert actual != 99  # a wrong expectation would simply fail to match

@@ -159,6 +159,17 @@ def test_verify_example_errors(capsys):
     assert code == 2 and "NAME=INTEGER" in err
 
 
+def test_verify_example_unknown_parameter(capsys):
+    code, out, err = run(
+        capsys, ["verify-example", "scroll-fiber-tower", "--param", "x=3"]
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: catalog entry 'scroll-fiber-tower' takes no parameters named x "
+        "(accepted: n, t, b)\n"
+    )
+
+
 def test_check_config(capsys, tmp_path, monkeypatch):
     path = tmp_path / "i2.json"
     path.write_text(json.dumps(I2_CONFIG))
