@@ -23,6 +23,7 @@ from .lattice import (
 from .config import (
     UNDETERMINED,
     CurveConfiguration,
+    DecompositionBudgetError,
     Edge,
     Node,
     Undetermined,

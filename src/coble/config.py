@@ -15,19 +15,37 @@ with K.C_i = 2 genus(C_i) - 2 - C_i^2 read off per component.  h^0(O_D)
 is combinatorial only in the cases the theory actually needs:
 
   * reduced D: number of connected components;
-  * a connected numerically 1-connected D: 1;
+  * a connected numerically 1-connected D: 1 (below);
   * m copies of a single smooth component (genus 0 with C^2 <= 0, or
     genus 1 with C^2 < 0): the exact filtration value;
   * disjoint unions: sums over connected components.
 
 Anything else yields the first-class verdict ``UNDETERMINED`` rather than
 a guess or an error.
+
+Numerical k-connectivity (D1.D2 >= k for every D = D1 + D2 with both parts
+nonzero and effective) is decided in closed form when D is nef on its
+support: the support is connected and D.C_i >= 0 on every component, as on
+every Kodaira fiber and its multiples.  There Zariski's lemma gives
+D1.D2 >= 0, zero only on rational multiples of D with D^2 = 0: every k <= 0
+holds, k >= 1 fails when D^2 = 0 and the multiplicities share a factor,
+k = 1 holds otherwise, and so does k = 2 when every D.C_i + K.C_i is even,
+because D1^2 = K.D1 (mod 2).  Every other case scans the box of
+prod(m_i + 1) decompositions up to its midpoint (D1 and D - D1 pair
+alike): in Python integers up to 4096 decompositions, above that in numpy
+blocks of at most 32,768 rows that stop at the first violation, in int64
+when every pairing fits and in Python integers when one might not.  A scan
+past ``MAX_DISTINCT_COMPONENTS`` components or ``MAX_DECOMPOSITIONS``
+decompositions (a twentieth of that in Python integers) is refused up front
+with ``DecompositionBudgetError``, and ``divisor_pa`` then answers
+``UNDETERMINED``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +71,23 @@ class Undetermined:
 UNDETERMINED = Undetermined()
 
 MAX_DISTINCT_COMPONENTS = 20
+# About 2 s of blocked int64 scan at 20 components (2 * 10^6 decompositions/s
+# on a 2-core x86_64 VM); admits the I8* fiber's 314,928.
+MAX_DECOMPOSITIONS = 4_000_000
 
-# Above this many decompositions the exhaustive 1-connectivity scan switches
-# to a vectorized int64 pass; both paths are exact.
+# Above this many decompositions the scan runs in numpy blocks rather than
+# Python integers; both paths are exact.
 _VECTORIZE_THRESHOLD = 4096
+_FIRST_BLOCK = 256
+_MAX_BLOCK = 32_768
+_INT64_MAX = 2**63 - 1
+# Python-integer blocks, used when a pairing could pass int64, scan about
+# this many times slower than int64 ones at 20 components.
+_PYTHON_INT_SLOWDOWN = 20
+
+
+class DecompositionBudgetError(ValueError):
+    """A decomposition scan refused up front for its size."""
 
 
 @dataclass(frozen=True)
@@ -239,54 +270,114 @@ def _pairing(gram, m1, m2) -> int:
     return total
 
 
-def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
-    """Exhaustively test D1.D2 >= k over all decompositions D = D1 + D2.
+def _zariski_verdict(cfg: CurveConfiguration, gram, mults: list[int], support: list[int], k: int):
+    """Exact k-connectivity verdict for D nef on its connected support, or None.
 
-    Both parts range over nonzero effective sub-divisors of D.  The scan is
-    a full enumeration of the product of multiplicity ranges, capped at
-    20 distinct components.
+    Applies when the support is connected and d_i = D.C_i >= 0 for every
+    component in it.  Off-diagonal Gram entries are >= 0, so the identity
+
+        D1.D2 = 1/2 sum_{i != j} g_ij m_i m_j (x_i/m_i - x_j/m_j)^2
+                + sum_i (d_i/m_i) x_i (m_i - x_i)        (D1 = x, D = m)
+
+    makes every D1.D2 >= 0, and 0 only for D1 in Q.D with D^2 = 0 (Zariski's
+    lemma): a proper such D1 exists iff gcd(m) > 1.  Since D1^2 = K.D1
+    (mod 2), D1.D2 = sum_i x_i (d_i + K.C_i) (mod 2), so D1.D2 >= 1 gives
+    D1.D2 >= 2 when every d_i + K.C_i is even.
+    """
+    d = [sum(gram[i][j] * mults[j] for j in support) for i in support]
+    if min(d) < 0 or len(_connected_components(cfg, support)) != 1:
+        return None
+    if k <= 0:
+        return True
+    if math.gcd(*(mults[i] for i in support)) > 1 and not any(d):
+        return False
+    if k == 1:
+        return True
+    kdeg = cfg.canonical_degrees()
+    if k == 2 and all((di + kdeg[i]) % 2 == 0 for di, i in zip(d, support)):
+        return True
+    return None
+
+
+def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
+    """Test D1.D2 >= k over all decompositions D = D1 + D2.
+
+    Both parts range over nonzero effective sub-divisors of D.  When D is
+    nef on its connected support (D.C_i >= 0 there), Zariski's lemma decides
+    in closed form: every k <= 0 holds, k >= 1 fails when D^2 = 0 and the
+    multiplicities share a factor, k = 1 holds otherwise, and so does k = 2
+    when every D.C_i + K.C_i is even (D1^2 = K.D1 mod 2).  Every other case
+    scans D1 over the box of prod(m_i + 1) decompositions up to its
+    midpoint, since D1 and D - D1 pair alike: in Python integers up to
+    ``_VECTORIZE_THRESHOLD`` decompositions, in numpy blocks above it,
+    stopping at the first violation.  Before it starts, a scan past
+    ``MAX_DISTINCT_COMPONENTS`` components or ``MAX_DECOMPOSITIONS``
+    decompositions (divided by ``_PYTHON_INT_SLOWDOWN`` when a pairing may
+    pass int64) raises ``DecompositionBudgetError`` naming the limit and the
+    count.
     """
     mults = cfg.subset_vector(subset)
     support = [i for i, m in enumerate(mults) if m > 0]
     if not support:
         raise ValueError("empty divisor has no decompositions")
-    if len(support) > MAX_DISTINCT_COMPONENTS:
-        raise ValueError(
-            f"exhaustive decomposition scan capped at {MAX_DISTINCT_COMPONENTS} components"
-        )
     gram = cfg.gram()
+    verdict = _zariski_verdict(cfg, gram, mults, support, k)
+    if verdict is not None:
+        return verdict
+    if len(support) > MAX_DISTINCT_COMPONENTS:
+        raise DecompositionBudgetError(
+            f"decomposition scan capped at MAX_DISTINCT_COMPONENTS = "
+            f"{MAX_DISTINCT_COMPONENTS} components ({len(support)} given)"
+        )
     sub_m = [mults[i] for i in support]
     sub_gram = [[gram[i][j] for j in support] for i in support]
-    total = 1
-    for m in sub_m:
-        total *= m + 1
-    if total - 2 <= 0:
-        return True  # only the trivial decompositions exist
+    total = math.prod(m + 1 for m in sub_m)
+    # every product, partial sum and pairing in the scan is at most
+    # 2 * bound in absolute value
+    bound = sum(a * abs(g) * b for row, a in zip(sub_gram, sub_m) for g, b in zip(row, sub_m))
+    in_int64 = 2 * bound + abs(k) <= _INT64_MAX
+    budget, name = MAX_DECOMPOSITIONS, "MAX_DECOMPOSITIONS"
+    if not in_int64:
+        budget //= _PYTHON_INT_SLOWDOWN
+        name += f" // {_PYTHON_INT_SLOWDOWN} (pairings past int64)"
+    if total > budget:
+        raise DecompositionBudgetError(
+            f"decomposition budget exceeded: {total:,} decompositions, "
+            f"more than {name} = {budget:,}"
+        )
+    gd = [sum(g * m for g, m in zip(row, sub_m)) for row in sub_gram]
     if total > _VECTORIZE_THRESHOLD:
-        return _k_connected_vectorized(sub_gram, sub_m, k)
-    gd = [sum(row[j] * sub_m[j] for j in range(len(sub_m))) for row in sub_gram]
-    for d1 in itertools.product(*(range(m + 1) for m in sub_m)):
-        if not any(d1) or d1 == tuple(sub_m):
-            continue
+        return _k_connected_blocked(sub_gram, sub_m, gd, np.int64 if in_int64 else object, k)
+    # mixed-radix index i is D1 and total - 1 - i is D - D1, so the proper
+    # decompositions are covered by i = 1 .. (total - 1) // 2
+    ranges = (range(m + 1) for m in sub_m)
+    for d1 in itertools.islice(itertools.product(*ranges), 1, (total + 1) // 2):
         # D1.D2 = D1.(D - D1) = D1.GD - D1 G D1
         lin = sum(a * g for a, g in zip(d1, gd))
-        quad = _pairing(sub_gram, list(d1), list(d1))
-        if lin - quad < k:
+        if lin - _pairing(sub_gram, d1, d1) < k:
             return False
     return True
 
 
-def _k_connected_vectorized(sub_gram, sub_m, k: int) -> bool:
-    ranges = [np.arange(m + 1, dtype=np.int64) for m in sub_m]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    a = np.stack([g.reshape(-1) for g in grids], axis=1)  # (N, r)
-    g = np.array(sub_gram, dtype=np.int64)
-    d = np.array(sub_m, dtype=np.int64)
-    lin = a @ (g @ d)
-    quad = np.einsum("ij,jk,ik->i", a, g, a)
-    vals = lin - quad
-    interior = ~(np.all(a == 0, axis=1) | np.all(a == d, axis=1))
-    return bool(np.all(vals[interior] >= k))
+def _k_connected_blocked(sub_gram, sub_m, gd, dtype, k: int) -> bool:
+    """The scan of ``is_numerically_k_connected`` in numpy blocks.
+
+    Mixed-radix indices 1 .. (total - 1) // 2 are unravelled a block at a
+    time, in O(block * r) memory; blocks start at ``_FIRST_BLOCK`` rows and
+    double up to ``_MAX_BLOCK``, so an early violation costs little.
+    ``dtype`` is int64 when every value fits, else object (Python integers).
+    """
+    g = np.array(sub_gram, dtype=dtype)
+    lin = np.array(gd, dtype=dtype)
+    shape = tuple(m + 1 for m in sub_m)
+    start, stop, block = 1, (math.prod(shape) + 1) // 2, _FIRST_BLOCK
+    while start < stop:
+        end = min(start + block, stop)
+        a = np.stack(np.unravel_index(np.arange(start, end), shape), axis=1).astype(dtype, copy=False)
+        if np.any(a @ lin - ((a @ g) * a).sum(axis=1) < k):
+            return False
+        start, block = end, min(2 * block, _MAX_BLOCK)
+    return True
 
 
 def _h0_single_multiple(node: Node, m: int):
@@ -303,6 +394,9 @@ def _h0_single_multiple(node: Node, m: int):
 
 def divisor_pa(cfg: CurveConfiguration, subset=None):
     """Arithmetic genus of a sub-divisor, or UNDETERMINED.
+
+    A connected component whose 1-connectivity scan is refused for its size
+    (``DecompositionBudgetError``) makes the genus UNDETERMINED as well.
 
     TESTS::
 
@@ -322,21 +416,21 @@ def divisor_pa(cfg: CurveConfiguration, subset=None):
     kdeg = cfg.canonical_degrees()
     h0_total = 0
     for comp in _connected_components(cfg, support):
-        comp_m = {cfg.nodes[i].id: mults[i] for i in comp}
         if all(mults[i] == 1 for i in comp):
             h0_total += 1
-        elif len(comp) == 1:
+            continue
+        h = UNDETERMINED
+        if len(comp) == 1:
             h = _h0_single_multiple(cfg.nodes[comp[0]], mults[comp[0]])
-            if h is UNDETERMINED:
-                if is_numerically_k_connected(cfg, comp_m, 1):
-                    h = 1
-                else:
+        if h is UNDETERMINED:
+            comp_m = {cfg.nodes[i].id: mults[i] for i in comp}
+            try:
+                if not is_numerically_k_connected(cfg, comp_m, 1):
                     return UNDETERMINED
-            h0_total += h
-        elif is_numerically_k_connected(cfg, comp_m, 1):
-            h0_total += 1
-        else:
-            return UNDETERMINED
+            except DecompositionBudgetError:
+                return UNDETERMINED
+            h = 1
+        h0_total += h
     d_sq = _pairing(gram, mults, mults)
     k_d = sum(m * kd for m, kd in zip(mults, kdeg))
     num = d_sq + k_d

@@ -9,11 +9,14 @@ catalog, returning the type name or None.
 
 Every model satisfies F^2 = 0, K.F = 0 and p_a(F) = 1; the recognizer
 re-derives those identities for whatever it matches as a consistency
-guard.
+guard.  The recognizer builds the models and their isomorphism-invariant
+signatures once, on its first call, and matches every later input against
+those same objects.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import CurveConfiguration, Edge, Node, divisor_pa
@@ -150,9 +153,8 @@ def _signature(cfg: CurveConfiguration):
 
 
 def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
-    """Backtracking isomorphism of weighted multigraphs with node labels."""
-    if _signature(a) != _signature(b):
-        return False
+    """Backtracking isomorphism of weighted multigraphs with node labels,
+    for two configurations of equal ``_signature``."""
     ga, gb = a.gram(), b.gram()
     na = len(a.nodes)
 
@@ -206,6 +208,14 @@ def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
     return extend(0)
 
 
+@functools.cache
+def _models() -> tuple[tuple[str, CurveConfiguration, tuple], ...]:
+    """Every catalog model with its signature, built on first use and shared
+    afterwards."""
+    models = ((name, kodaira_fiber(name)) for name in FIBER_NAMES)
+    return tuple((name, model, _signature(model)) for name, model in models)
+
+
 def recognize_fiber(cfg: CurveConfiguration) -> str | None:
     """Match a configuration against the Kodaira catalog.
 
@@ -221,9 +231,9 @@ def recognize_fiber(cfg: CurveConfiguration) -> str | None:
         >>> recognize_fiber(chain) is None
         True
     """
-    for name in FIBER_NAMES:
-        model = kodaira_fiber(name)
-        if _isomorphic(cfg, model):
+    signature = _signature(cfg)
+    for name, model, model_signature in _models():
+        if signature == model_signature and _isomorphic(cfg, model):
             mults = cfg.subset_vector(None)
             gram = cfg.gram()
             f_sq = sum(

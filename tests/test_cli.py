@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -193,6 +194,39 @@ def test_check_config_errors(capsys, tmp_path):
     assert code == 1 and "invalid configuration" in err
     code, _, err = run(capsys, ["check-config", "--input", str(tmp_path / "gone.json")])
     assert code == 2 and "cannot read" in err
+
+
+def _cycle(n, mult):
+    return {"nodes": [{"id": f"C{i}", "self": -2, "mult": mult} for i in range(n)],
+            "edges": [{"a": f"C{i}", "b": f"C{(i + 1) % n}"} for i in range(n)]}
+
+
+def _chain(n, mult):
+    return {"nodes": [{"id": f"C{i}", "self": -2, "mult": mult} for i in range(n)],
+            "edges": [{"a": f"C{i}", "b": f"C{i + 1}"} for i in range(n - 1)]}
+
+
+def _istar(b):
+    # the I_b* shape: a chain of b + 1 doubled curves with two leaves at each end
+    data = _chain(b + 1, 2)
+    data["nodes"] += [{"id": f"L{i}", "self": -2} for i in range(4)]
+    data["edges"] += [{"a": f"L{i}", "b": "C0" if i < 2 else f"C{b}"} for i in range(4)]
+    return data
+
+
+@pytest.mark.parametrize("data, p_a", [
+    (_cycle(25, 2), "undetermined"),  # 2 I25: the halves pair to 0
+    (_istar(20), "1"),                # I20*-shaped, 25 components
+    (_chain(20, 2), "undetermined"),  # 3^20 decompositions, past the budget
+])
+def test_check_config_past_the_scan_limits(capsys, tmp_path, data, p_a):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["check-config", "--input", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert f"p_a: {p_a}" in out
 
 
 def test_catalog(capsys):

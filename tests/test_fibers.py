@@ -114,3 +114,22 @@ def test_ii_is_the_cuspidal_member():
     assert ii.nodes[0].sing == "cusp"
     i1 = kodaira_fiber("I1")
     assert i1.nodes[0].sing == "node"
+
+
+def test_models_are_built_once_and_matches_still_checked(monkeypatch):
+    from coble import fibers
+
+    assert recognize_fiber(kodaira_fiber("I3")) == "I3"
+
+    def no_build(name):
+        raise AssertionError(f"model {name} rebuilt")
+
+    monkeypatch.setattr(fibers, "kodaira_fiber", no_build)
+    assert [recognize_fiber(m) for _, m, _ in fibers._models()] == FIBER_NAMES
+    # the genus identity is re-derived on every match, not once per model
+    monkeypatch.setattr(fibers, "divisor_pa", lambda cfg: 0)
+    with pytest.raises(AssertionError, match="arithmetic genus 1"):
+        recognize_fiber(CurveConfiguration(
+            tuple(Node(f"x{i}", -2) for i in range(3)),
+            (Edge("x0", "x1"), Edge("x1", "x2"), Edge("x2", "x0")),
+        ))
