@@ -797,12 +797,10 @@ def log_enriques_shape(cfg: CurveConfiguration) -> LogEnriquesReport:
         >>> log_enriques_shape(cfg).ok
         True
     """
-    from .config import _connected_components
-
-    gram = cfg.gram()
+    adjacency = cfg.adjacency
     ok = True
     chains, lone, degenerate = [], [], []
-    for comp in _connected_components(cfg, list(range(len(cfg.nodes)))):
+    for comp in cfg.components(range(len(cfg.nodes))):
         nodes = [cfg.nodes[i] for i in comp]
         if any(n.mult != 1 or n.genus != 0 or n.sing is not None for n in nodes):
             ok = False
@@ -814,14 +812,11 @@ def log_enriques_shape(cfg: CurveConfiguration) -> LogEnriquesReport:
                 ok = False
             continue
         # must be a path: exactly two degree-1 ends, interior degree 2
-        deg = {
-            i: sum(1 for j in comp if j != i and gram[i][j] != 0) for i in comp
-        }
-        if any(gram[i][j] > 1 for i in comp for j in comp if i != j):
+        if any(p > 1 for i in comp for p, _ in adjacency[i].values()):
             ok = False
             continue
-        ends = [i for i in comp if deg[i] == 1]
-        interior = [i for i in comp if deg[i] == 2]
+        ends = [i for i in comp if len(adjacency[i]) == 1]
+        interior = [i for i in comp if len(adjacency[i]) == 2]
         if len(ends) != 2 or len(ends) + len(interior) != len(comp):
             ok = False
             continue
@@ -831,23 +826,20 @@ def log_enriques_shape(cfg: CurveConfiguration) -> LogEnriquesReport:
         if not all(cfg.nodes[i].self_int == -2 for i in interior):
             ok = False
             continue
-        chain = _order_path(comp, gram, ends[0])
+        chain = _order_path(adjacency, ends[0], len(comp))
         chains.append(tuple(cfg.nodes[i].id for i in chain))
         if not interior:
             degenerate.append(chains[-1])
     return LogEnriquesReport(ok, tuple(chains), tuple(lone), tuple(degenerate))
 
 
-def _order_path(comp, gram, start):
-    order = [start]
-    prev = None
-    while len(order) < len(comp):
+def _order_path(adjacency, start, length):
+    """The ``length`` nodes of a path, walked from the end ``start``."""
+    order, prev = [start], None
+    while len(order) < length:
         here = order[-1]
-        nxt = [j for j in comp if j != here and j != prev and gram[here][j] != 0]
-        if not nxt:
-            break
+        order.append(next(j for j in adjacency[here] if j != prev))
         prev = here
-        order.append(nxt[0])
     return order
 
 

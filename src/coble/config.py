@@ -7,6 +7,13 @@ carries ``count`` (number of distinct intersection points) and ``tangency``
 (contact order at each of those points), so the pairing contribution is
 count * tangency.  Triple points list node triples sharing one point.
 
+``CurveConfiguration.adjacency`` is the one store of the pairing, built once
+from the edges: per node index, ``{neighbour index: (C_i.C_j, distinct
+points)}`` summed over repeated edges.  Pairings, connected components
+(O(n + e)), meeting points, degrees and fiber matching all read it;
+``gram()`` is a dense view derived from the edges for callers that want a
+matrix, and no computation here builds one for the whole configuration.
+
 The arithmetic genus of a sub-divisor D = sum m_i C_i is
 
     p_a(D) = (D^2 + K.D)/2 + h^0(O_D)
@@ -24,21 +31,11 @@ Anything else yields the first-class verdict ``UNDETERMINED`` rather than
 a guess or an error.
 
 Numerical k-connectivity (D1.D2 >= k for every D = D1 + D2 with both parts
-nonzero and effective) is decided in closed form when D is nef on its
-support: the support is connected and D.C_i >= 0 on every component, as on
-every Kodaira fiber and its multiples.  There Zariski's lemma gives
-D1.D2 >= 0, zero only on rational multiples of D with D^2 = 0: every k <= 0
-holds, k >= 1 fails when D^2 = 0 and the multiplicities share a factor,
-k = 1 holds otherwise, and so does k = 2 when every D.C_i + K.C_i is even,
-because D1^2 = K.D1 (mod 2).  Every other case scans the box of
-prod(m_i + 1) decompositions up to its midpoint (D1 and D - D1 pair
-alike): in Python integers up to 4096 decompositions, above that in numpy
-blocks of at most 32,768 rows that stop at the first violation, in int64
-when every pairing fits and in Python integers when one might not.  A scan
-past ``MAX_DISTINCT_COMPONENTS`` components or ``MAX_DECOMPOSITIONS``
-decompositions (a twentieth of that in Python integers) is refused up front
-with ``DecompositionBudgetError``, and ``divisor_pa`` then answers
-``UNDETERMINED``.
+nonzero and effective) is decided in closed form by Zariski's lemma when D
+is nef on its connected support, as on every Kodaira fiber and its
+multiples, and otherwise by a scan of bounded size (see
+``is_numerically_k_connected``).  A scan refused for its size makes
+``divisor_pa`` answer ``UNDETERMINED``.
 """
 
 from __future__ import annotations
@@ -127,19 +124,26 @@ class CurveConfiguration:
     edges: tuple[Edge, ...] = ()
     triple_points: tuple[tuple[str, str, str], ...] = ()
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    # per node index: {neighbour index: (C_i.C_j, distinct points)}
+    adjacency: tuple[dict[int, tuple[int, int]], ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be unique")
         index = {nid: i for i, nid in enumerate(ids)}
+        adjacency = tuple({} for _ in ids)
         for e in self.edges:
             if e.a not in index or e.b not in index:
                 raise ValueError(f"edge ({e.a},{e.b}) references unknown node")
+            i, j = index[e.a], index[e.b]
+            pairing, points = adjacency[i].get(j, (0, 0))
+            adjacency[i][j] = adjacency[j][i] = (pairing + e.count * e.tangency, points + e.count)
         for t in self.triple_points:
             if len(set(t)) != 3 or any(x not in index for x in t):
                 raise ValueError(f"triple point {t} must name three distinct nodes")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -162,13 +166,50 @@ class CurveConfiguration:
 
     def meeting_points(self, a: str, b: str) -> int:
         """Number of distinct intersection points of two components."""
+        i = self._index.get(a)
+        return 0 if i is None else self.adjacency[i].get(self._index.get(b), (0, 0))[1]
+
+    def pairing(self, m1, m2) -> int:
+        """D1.D2 for two multiplicity vectors over the node order, in O(n + e)."""
         return sum(
-            e.count for e in self.edges if {e.a, e.b} == {a, b}
+            a * (self.nodes[i].self_int * m2[i] + sum(p * m2[j] for j, (p, _) in self.adjacency[i].items()))
+            for i, a in enumerate(m1)
+            if a
         )
+
+    def components(self, support) -> list[list[int]]:
+        """Connected components of the graph on ``support`` (a sequence of
+        node indices), as sorted index lists in order of first appearance;
+        a depth-first search over ``adjacency`` in O(n + e)."""
+        unseen, comps = set(support), []
+        for start in support:
+            if start in unseen:
+                unseen.discard(start)
+                stack, comp = [start], []
+                while stack:
+                    comp.append(v := stack.pop())
+                    reached = unseen.intersection(self.adjacency[v])
+                    unseen -= reached
+                    stack.extend(reached)
+                comps.append(sorted(comp))
+        return comps
 
     def canonical_degrees(self) -> list[int]:
         """K.C_i per component via adjunction: 2 genus - 2 - C_i^2."""
         return [2 * n.genus - 2 - n.self_int for n in self.nodes]
+
+    def _support(self, subset) -> dict[int, int]:
+        """Positive multiplicities of a sub-divisor by node index, in index
+        order, in time proportional to ``subset`` (see ``subset_vector``)."""
+        if subset is None:
+            return {i: n.mult for i, n in enumerate(self.nodes)}
+        if not isinstance(subset, dict):
+            subset = {nid: self.node(nid).mult for nid in subset}
+        for nid, m in subset.items():
+            if m < 0:
+                raise ValueError(f"negative multiplicity for {nid}")
+        mults = {self._index[nid]: int(m) for nid, m in subset.items()}
+        return {i: mults[i] for i in sorted(mults) if mults[i]}
 
     def subset_vector(self, subset) -> list[int]:
         """Multiplicity vector of a sub-divisor over the node order.
@@ -177,20 +218,8 @@ class CurveConfiguration:
         iterable of node ids (those nodes at stored multiplicity), or a
         mapping id -> multiplicity.
         """
-        mults = [0] * len(self.nodes)
-        if subset is None:
-            for i, n in enumerate(self.nodes):
-                mults[i] = n.mult
-        elif isinstance(subset, dict):
-            for nid, m in subset.items():
-                if m < 0:
-                    raise ValueError(f"negative multiplicity for {nid}")
-                mults[self._index[nid]] = int(m)
-        else:
-            for nid in subset:
-                i = self._index[nid]
-                mults[i] = self.nodes[i].mult
-        return mults
+        mults = self._support(subset)
+        return [mults.get(i, 0) for i in range(len(self.nodes))]
 
     def to_json(self) -> dict:
         data = {
@@ -214,63 +243,43 @@ class CurveConfiguration:
         return data
 
 
+def _json_list(data: dict, key: str, kind: type, required: tuple = ()) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, kind) and all(r in x for r in required) for x in items):
+        what = "arrays" if kind is list else "objects with " + " and ".join(map(repr, required))
+        raise ValueError(f"{key!r} must be a list of JSON {what}")
+    return items
+
+
+def _json_int(obj: dict, key: str, default=None) -> int:
+    value = obj.get(key, default)
+    if type(value) is not int:  # exact arithmetic: no bool, float or string
+        got, where = (json.dumps(x, default=repr) for x in (value, obj))
+        raise ValueError(f"{key!r} must be an integer, got {got} in {where}")
+    return value
+
+
 def config_from_json(data) -> CurveConfiguration:
+    """Read a configuration from JSON text or its decoded object; a bad shape,
+    no nodes, or a ``self``, ``genus``, ``mult``, ``count`` or ``tangency``
+    that is not a JSON integer raises ValueError naming the field."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict) or not data.get("nodes"):
+        raise ValueError("a configuration must be a JSON object with a nonempty 'nodes' list")
     nodes = tuple(
-        Node(
-            id=str(n["id"]),
-            self_int=int(n["self"]),
-            genus=int(n.get("genus", 0)),
-            mult=int(n.get("mult", 1)),
-            sing=n.get("sing"),
-        )
-        for n in data["nodes"]
+        Node(str(n["id"]), _json_int(n, "self"), _json_int(n, "genus", 0), _json_int(n, "mult", 1), n.get("sing"))
+        for n in _json_list(data, "nodes", dict, ("id",))
     )
     edges = tuple(
-        Edge(
-            a=str(e["a"]),
-            b=str(e["b"]),
-            count=int(e.get("count", 1)),
-            tangency=int(e.get("tangency", 1)),
-        )
-        for e in data.get("edges", ())
+        Edge(str(e["a"]), str(e["b"]), _json_int(e, "count", 1), _json_int(e, "tangency", 1))
+        for e in _json_list(data, "edges", dict, ("a", "b"))
     )
-    triples = tuple(tuple(t) for t in data.get("triples", ()))
+    triples = tuple(tuple(map(str, t)) for t in _json_list(data, "triples", list))
     return CurveConfiguration(nodes, edges, triples)
 
 
-def _connected_components(cfg: CurveConfiguration, support: list[int]) -> list[list[int]]:
-    """Connected components of the support graph, as index lists."""
-    gram = cfg.gram()
-    seen: set[int] = set()
-    comps = []
-    for start in support:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in support:
-                if w not in seen and gram[v][w] != 0:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _pairing(gram, m1, m2) -> int:
-    total = 0
-    for i, a in enumerate(m1):
-        if a:
-            row = gram[i]
-            total += a * sum(row[j] * b for j, b in enumerate(m2) if b)
-    return total
-
-
-def _zariski_verdict(cfg: CurveConfiguration, gram, mults: list[int], support: list[int], k: int):
+def _zariski_verdict(cfg: CurveConfiguration, mults: dict, d: list[int], k: int):
     """Exact k-connectivity verdict for D nef on its connected support, or None.
 
     Applies when the support is connected and d_i = D.C_i >= 0 for every
@@ -282,19 +291,19 @@ def _zariski_verdict(cfg: CurveConfiguration, gram, mults: list[int], support: l
     makes every D1.D2 >= 0, and 0 only for D1 in Q.D with D^2 = 0 (Zariski's
     lemma): a proper such D1 exists iff gcd(m) > 1.  Since D1^2 = K.D1
     (mod 2), D1.D2 = sum_i x_i (d_i + K.C_i) (mod 2), so D1.D2 >= 1 gives
-    D1.D2 >= 2 when every d_i + K.C_i is even.
+    D1.D2 >= 2 when every d_i + K.C_i is even.  ``mults`` maps the support's
+    node indices, in order, to their multiplicities and ``d`` lists the D.C_i.
     """
-    d = [sum(gram[i][j] * mults[j] for j in support) for i in support]
-    if min(d) < 0 or len(_connected_components(cfg, support)) != 1:
+    if min(d) < 0 or len(cfg.components(list(mults))) != 1:
         return None
     if k <= 0:
         return True
-    if math.gcd(*(mults[i] for i in support)) > 1 and not any(d):
+    if math.gcd(*mults.values()) > 1 and not any(d):
         return False
     if k == 1:
         return True
-    kdeg = cfg.canonical_degrees()
-    if k == 2 and all((di + kdeg[i]) % 2 == 0 for di, i in zip(d, support)):
+    # K.C_i = 2 genus - 2 - C_i^2 = C_i^2 (mod 2)
+    if k == 2 and all((di + cfg.nodes[i].self_int) % 2 == 0 for di, i in zip(d, mults)):
         return True
     return None
 
@@ -309,28 +318,35 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
     when every D.C_i + K.C_i is even (D1^2 = K.D1 mod 2).  Every other case
     scans D1 over the box of prod(m_i + 1) decompositions up to its
     midpoint, since D1 and D - D1 pair alike: in Python integers up to
-    ``_VECTORIZE_THRESHOLD`` decompositions, in numpy blocks above it,
-    stopping at the first violation.  Before it starts, a scan past
-    ``MAX_DISTINCT_COMPONENTS`` components or ``MAX_DECOMPOSITIONS``
-    decompositions (divided by ``_PYTHON_INT_SLOWDOWN`` when a pairing may
-    pass int64) raises ``DecompositionBudgetError`` naming the limit and the
-    count.
+    ``_VECTORIZE_THRESHOLD`` decompositions, above it in numpy blocks of at
+    most ``_MAX_BLOCK`` rows, in int64 when every pairing fits and in Python
+    integers when one might not, stopping at the first violation.  Only the
+    scan builds a dense Gram, over the support alone.  Before it starts, a
+    scan past ``MAX_DISTINCT_COMPONENTS`` components or
+    ``MAX_DECOMPOSITIONS`` decompositions (divided by
+    ``_PYTHON_INT_SLOWDOWN`` when a pairing may pass int64) raises
+    ``DecompositionBudgetError`` naming the limit and the count.
     """
-    mults = cfg.subset_vector(subset)
-    support = [i for i, m in enumerate(mults) if m > 0]
-    if not support:
+    mults = cfg._support(subset)
+    if not mults:
         raise ValueError("empty divisor has no decompositions")
-    gram = cfg.gram()
-    verdict = _zariski_verdict(cfg, gram, mults, support, k)
+    # D.C_i for every component of the support
+    d = [
+        cfg.nodes[i].self_int * m + sum(p * mults.get(j, 0) for j, (p, _) in cfg.adjacency[i].items())
+        for i, m in mults.items()
+    ]
+    verdict = _zariski_verdict(cfg, mults, d, k)
     if verdict is not None:
         return verdict
-    if len(support) > MAX_DISTINCT_COMPONENTS:
+    if len(mults) > MAX_DISTINCT_COMPONENTS:
         raise DecompositionBudgetError(
             f"decomposition scan capped at MAX_DISTINCT_COMPONENTS = "
-            f"{MAX_DISTINCT_COMPONENTS} components ({len(support)} given)"
+            f"{MAX_DISTINCT_COMPONENTS} components ({len(mults)} given)"
         )
-    sub_m = [mults[i] for i in support]
-    sub_gram = [[gram[i][j] for j in support] for i in support]
+    sub_m = list(mults.values())
+    sub_gram = [[cfg.adjacency[i].get(j, (0, 0))[0] for j in mults] for i in mults]
+    for p, i in enumerate(mults):
+        sub_gram[p][p] = cfg.nodes[i].self_int
     total = math.prod(m + 1 for m in sub_m)
     # every product, partial sum and pairing in the scan is at most
     # 2 * bound in absolute value
@@ -345,16 +361,18 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
             f"decomposition budget exceeded: {total:,} decompositions, "
             f"more than {name} = {budget:,}"
         )
-    gd = [sum(g * m for g, m in zip(row, sub_m)) for row in sub_gram]
     if total > _VECTORIZE_THRESHOLD:
-        return _k_connected_blocked(sub_gram, sub_m, gd, np.int64 if in_int64 else object, k)
+        return _k_connected_blocked(sub_gram, sub_m, d, np.int64 if in_int64 else object, k)
+    diag = [sub_gram[p][p] for p in range(len(sub_m))]
+    meets = [(p, q, g) for p, row in enumerate(sub_gram) for q, g in enumerate(row) if p < q and g]
     # mixed-radix index i is D1 and total - 1 - i is D - D1, so the proper
     # decompositions are covered by i = 1 .. (total - 1) // 2
     ranges = (range(m + 1) for m in sub_m)
     for d1 in itertools.islice(itertools.product(*ranges), 1, (total + 1) // 2):
-        # D1.D2 = D1.(D - D1) = D1.GD - D1 G D1
-        lin = sum(a * g for a, g in zip(d1, gd))
-        if lin - _pairing(sub_gram, d1, d1) < k:
+        # D1.D2 = D1.(D - D1) = D1.GD - D1 G D1, with D1 G D1 summed over
+        # the diagonal and the support's own meeting pairs
+        lin = sum(a * (di - s * a) for a, di, s in zip(d1, d, diag))
+        if lin - 2 * sum(g * d1[p] * d1[q] for p, q, g in meets) < k:
             return False
     return True
 
@@ -412,10 +430,8 @@ def divisor_pa(cfg: CurveConfiguration, subset=None):
     support = [i for i, m in enumerate(mults) if m > 0]
     if not support:
         raise ValueError("empty divisor")
-    gram = cfg.gram()
-    kdeg = cfg.canonical_degrees()
     h0_total = 0
-    for comp in _connected_components(cfg, support):
+    for comp in cfg.components(support):
         if all(mults[i] == 1 for i in comp):
             h0_total += 1
             continue
@@ -431,8 +447,8 @@ def divisor_pa(cfg: CurveConfiguration, subset=None):
                 return UNDETERMINED
             h = 1
         h0_total += h
-    d_sq = _pairing(gram, mults, mults)
-    k_d = sum(m * kd for m, kd in zip(mults, kdeg))
+    d_sq = cfg.pairing(mults, mults)
+    k_d = sum(m * kd for m, kd in zip(mults, cfg.canonical_degrees()))
     num = d_sq + k_d
     assert num % 2 == 0, "adjunction numerator is always even on a configuration"
     return num // 2 + h0_total
@@ -464,16 +480,12 @@ def pa_sum_formula_check(cfg: CurveConfiguration, d1, d2) -> dict:
     pa_sum = divisor_pa(cfg, msum)
     pa1 = divisor_pa(cfg, d1)
     pa2 = divisor_pa(cfg, d2)
-    cross = _pairing(cfg.gram(), m1, m2)
+    cross = cfg.pairing(m1, m2)
     for v in (pa_sum, pa1, pa2):
         if v is UNDETERMINED:
             raise ValueError("a part's genus is undetermined; formula not checkable")
-    return {
-        "pa_sum": pa_sum,
-        "pa_parts": (pa1, pa2),
-        "cross": cross,
-        "holds": pa_sum == pa1 + pa2 + cross - 1,
-    }
+    holds = pa_sum == pa1 + pa2 + cross - 1
+    return {"pa_sum": pa_sum, "pa_parts": (pa1, pa2), "cross": cross, "holds": holds}
 
 
 @dataclass(frozen=True)
@@ -540,33 +552,19 @@ def loop_inequality_check(cfg: CurveConfiguration, chain, m1: str) -> LoopReport
     if len(cycle) < 2:
         raise ValueError("a loop needs at least two components")
     problems = []
-    if len(cycle) == 2:
-        pts = cfg.meeting_points(cycle[0], cycle[1])
-        if pts != 2:
-            problems.append(f"{cycle[0]},{cycle[1]} meet at {pts} points, need 2")
-    else:
-        for i, a in enumerate(cycle):
-            for j in range(i + 1, len(cycle)):
-                b = cycle[j]
-                pts = cfg.meeting_points(a, b)
-                consecutive = j - i == 1 or (i == 0 and j == len(cycle) - 1)
-                want = 1 if consecutive else 0
-                if pts != want:
-                    problems.append(f"{a},{b} meet at {pts} points, need {want}")
+    for i, a in enumerate(cycle):
+        for j in range(i + 1, len(cycle)):
+            b = cycle[j]
+            pts = cfg.meeting_points(a, b)
+            consecutive = j - i == 1 or (i == 0 and j == len(cycle) - 1)
+            want = (2 if len(cycle) == 2 else 1) if consecutive else 0
+            if pts != want:
+                problems.append(f"{a},{b} meet at {pts} points, need {want}")
     if problems:
         raise ValueError("not a simple loop: " + "; ".join(problems))
-    s = len(chain)
     total = sum(cfg.node(c).self_int for c in chain)
-    bound = -2 * s - 1
+    bound = -2 * len(chain) - 1
     # cycle rank of the support multigraph: distinct points count as edges
-    edges = sum(e.count for e in cfg.edges)
-    comps = len(_connected_components(cfg, list(range(len(cfg.nodes)))))
-    rank = edges - len(cfg.nodes) + comps
-    return LoopReport(
-        chain_length=s,
-        chain_self_int_sum=total,
-        bound=bound,
-        inequality_holds=total <= bound,
-        cycle_rank=rank,
-        loop_unique=rank == 1,
-    )
+    rank = sum(e.count for e in cfg.edges) - len(cfg.nodes) + len(cfg.components(range(len(cfg.nodes))))
+    return LoopReport(chain_length=len(chain), chain_self_int_sum=total, bound=bound,
+                      inequality_holds=total <= bound, cycle_rank=rank, loop_unique=rank == 1)

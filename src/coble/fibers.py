@@ -139,12 +139,9 @@ def fiber_euler_number(name: str) -> int:
 
 def _signature(cfg: CurveConfiguration):
     """Isomorphism-invariant signature: sorted node data + sorted edge data."""
-    deg = {n.id: 0 for n in cfg.nodes}
-    for e in cfg.edges:
-        deg[e.a] += e.count
-        deg[e.b] += e.count
     node_sig = sorted(
-        (n.self_int, n.genus, n.mult, n.sing or "", deg[n.id]) for n in cfg.nodes
+        (n.self_int, n.genus, n.mult, n.sing or "", sum(points for _, points in near.values()))
+        for n, near in zip(cfg.nodes, cfg.adjacency)
     )
     edge_sig = sorted(
         (e.count, e.tangency) for e in cfg.edges
@@ -154,28 +151,13 @@ def _signature(cfg: CurveConfiguration):
 
 def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
     """Backtracking isomorphism of weighted multigraphs with node labels,
-    for two configurations of equal ``_signature``."""
-    ga, gb = a.gram(), b.gram()
+    for two configurations of equal ``_signature``.  Mapped pairs must agree
+    on their ``adjacency`` entry: the pairing and the distinct points."""
     na = len(a.nodes)
 
-    def key(cfg, i):
-        n = cfg.nodes[i]
-        return (n.self_int, n.genus, n.mult, n.sing or "")
-
     def compatible(i, j):
-        return key(a, i) == key(b, j)
-
-    # distinct-points multigraph matters too: match meeting_points exactly
-    pa = [[0] * na for _ in range(na)]
-    pb = [[0] * na for _ in range(na)]
-    for e in a.edges:
-        i, j = a._index[e.a], a._index[e.b]
-        pa[i][j] += e.count
-        pa[j][i] += e.count
-    for e in b.edges:
-        i, j = b._index[e.a], b._index[e.b]
-        pb[i][j] += e.count
-        pb[j][i] += e.count
+        n, m = a.nodes[i], b.nodes[j]
+        return (n.self_int, n.genus, n.mult, n.sing) == (m.self_int, m.genus, m.mult, m.sing)
 
     mapping = [-1] * na
     used = [False] * na
@@ -191,11 +173,7 @@ def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
         for j in range(na):
             if used[j] or not compatible(i, j):
                 continue
-            if any(
-                mapping[h] >= 0
-                and (ga[i][h] != gb[j][mapping[h]] or pa[i][h] != pb[j][mapping[h]])
-                for h in range(i)
-            ):
+            if any(a.adjacency[i].get(h) != b.adjacency[j].get(mapping[h]) for h in range(i)):
                 continue
             mapping[i] = j
             used[j] = True
@@ -235,12 +213,7 @@ def recognize_fiber(cfg: CurveConfiguration) -> str | None:
     for name, model, model_signature in _models():
         if signature == model_signature and _isomorphic(cfg, model):
             mults = cfg.subset_vector(None)
-            gram = cfg.gram()
-            f_sq = sum(
-                mults[i] * gram[i][j] * mults[j]
-                for i in range(len(mults))
-                for j in range(len(mults))
-            )
+            f_sq = cfg.pairing(mults, mults)
             k_f = sum(m * kd for m, kd in zip(mults, cfg.canonical_degrees()))
             assert f_sq == 0 and k_f == 0, "matched fiber must satisfy F^2 = K.F = 0"
             assert divisor_pa(cfg) == 1, "matched fiber must have arithmetic genus 1"

@@ -196,6 +196,42 @@ def test_check_config_errors(capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[]", "JSON object"),
+    ("null", "JSON object"),
+    ('{"nodes": 5}', "'nodes'"),
+    ('{"nodes": [{"id": "A", "self": null}]}', "'self'"),
+    ('{"nodes": [{"id": "A", "self": -1}], "triples": [5]}', "'triples'"),
+    ('{"nodes": []}', "'nodes'"),
+])
+def test_check_config_malformed_input(capsys, tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["check-config", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("invalid configuration: ") and field in err
+
+
+@pytest.mark.parametrize("node, edge, field", [
+    ({"self": -1.5}, {}, "'self'"),
+    ({"self": -1.0}, {}, "'self'"),
+    ({"self": "-1"}, {}, "'self'"),
+    ({"self": -1, "mult": True}, {}, "'mult'"),
+    ({"self": -1, "genus": 0.5}, {}, "'genus'"),
+    ({"self": -1}, {"count": 2.0}, "'count'"),
+    ({"self": -1}, {"tangency": False}, "'tangency'"),
+])
+def test_check_config_refuses_non_integers(capsys, tmp_path, node, edge, field):
+    # exact arithmetic: a number that is not a JSON integer is refused, not truncated
+    data = {"nodes": [{"id": "A", **node}, {"id": "B", "self": -1}],
+            "edges": [{"a": "A", "b": "B", **edge}]}
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["check-config", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("invalid configuration: ") and field in err and "integer" in err
+
+
 def _cycle(n, mult):
     return {"nodes": [{"id": f"C{i}", "self": -2, "mult": mult} for i in range(n)],
             "edges": [{"a": f"C{i}", "b": f"C{(i + 1) % n}"} for i in range(n)]}

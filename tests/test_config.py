@@ -1,6 +1,8 @@
 """Dual-graph divisor arithmetic: genus, connectedness, SNC, loop bound."""
 
+import functools
 import itertools
+import json
 import math
 import os
 import sys
@@ -11,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coble import config
+from coble import cli, config
+from coble.classify import LogEnriquesReport, log_enriques_shape
 from coble.config import (
     MAX_DECOMPOSITIONS,
     UNDETERMINED,
     CurveConfiguration,
     DecompositionBudgetError,
     Edge,
+    LoopReport,
     Node,
     check_snc,
     config_from_json,
@@ -26,7 +30,7 @@ from coble.config import (
     loop_inequality_check,
     pa_sum_formula_check,
 )
-from coble.fibers import FIBER_NAMES, kodaira_fiber
+from coble.fibers import FIBER_NAMES, kodaira_fiber, recognize_fiber
 
 
 def chain(*self_ints):
@@ -432,3 +436,392 @@ def test_decomposition_budget_boundary(monkeypatch):
     monkeypatch.setattr(config, "MAX_DECOMPOSITIONS", 12 * config._PYTHON_INT_SLOWDOWN - 1)
     with pytest.raises(DecompositionBudgetError, match="past int64"):
         is_numerically_k_connected(huge, None, 1)
+
+
+# ------------------------------------------ the dense implementation as oracle
+# Test-local copies of the dense-Gram code that ``CurveConfiguration.adjacency``
+# replaced: components by scanning the whole support per vertex, pairings over
+# the n x n Gram, meeting points by scanning the edge list, the log-Enriques
+# degree and path logic and the matrix-based fiber isomorphism.
+
+
+def dense_components(cfg, support):
+    gram = cfg.gram()
+    seen, comps = set(), []
+    for start in support:
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in support:
+                if w not in seen and gram[v][w] != 0:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def dense_pairing(gram, m1, m2):
+    return sum(a * gram[i][j] * b for i, a in enumerate(m1) for j, b in enumerate(m2))
+
+
+def dense_meeting_points(cfg, a, b):
+    return sum(e.count for e in cfg.edges if {e.a, e.b} == {a, b})
+
+
+def dense_divisor_pa(cfg, subset=None):
+    mults = cfg.subset_vector(subset)
+    support = [i for i, m in enumerate(mults) if m > 0]
+    h0_total = 0
+    for comp in dense_components(cfg, support):
+        if all(mults[i] == 1 for i in comp):
+            h0_total += 1
+            continue
+        h = UNDETERMINED
+        if len(comp) == 1:
+            h = config._h0_single_multiple(cfg.nodes[comp[0]], mults[comp[0]])
+        if h is UNDETERMINED:
+            if not exhaustive_k_connected(cfg, {cfg.nodes[i].id: mults[i] for i in comp}, 1):
+                return UNDETERMINED
+            h = 1
+        h0_total += h
+    k_d = sum(m * kd for m, kd in zip(mults, cfg.canonical_degrees()))
+    return (dense_pairing(cfg.gram(), mults, mults) + k_d) // 2 + h0_total
+
+
+def dense_pa_sum_formula_check(cfg, d1, d2):
+    m1, m2 = cfg.subset_vector(d1), cfg.subset_vector(d2)
+    if any(a > 1 for a in m1) or any(b > 1 for b in m2):
+        raise ValueError("parts must be reduced")
+    if any(a + b > 1 for a, b in zip(m1, m2)):
+        raise ValueError("parts must have disjoint support so the sum is reduced")
+    for name, part in (("D1", d1), ("D2", d2)):
+        if not exhaustive_k_connected(cfg, part, 1):
+            raise ValueError(f"{name} is not numerically 1-connected")
+    msum = {cfg.nodes[i].id: a + b for i, (a, b) in enumerate(zip(m1, m2)) if a + b}
+    pa_sum, pa1, pa2 = dense_divisor_pa(cfg, msum), dense_divisor_pa(cfg, d1), dense_divisor_pa(cfg, d2)
+    cross = dense_pairing(cfg.gram(), m1, m2)
+    if any(v is UNDETERMINED for v in (pa_sum, pa1, pa2)):
+        raise ValueError("a part's genus is undetermined; formula not checkable")
+    return {"pa_sum": pa_sum, "pa_parts": (pa1, pa2), "cross": cross,
+            "holds": pa_sum == pa1 + pa2 + cross - 1}
+
+
+def dense_loop_inequality_check(cfg, chain, m1):
+    cycle = [m1] + list(chain)
+    if len(set(cycle)) != len(cycle):
+        raise ValueError("loop nodes must be distinct")
+    if len(cycle) < 2:
+        raise ValueError("a loop needs at least two components")
+    problems = []
+    if len(cycle) == 2:
+        pts = dense_meeting_points(cfg, cycle[0], cycle[1])
+        if pts != 2:
+            problems.append(f"{cycle[0]},{cycle[1]} meet at {pts} points, need 2")
+    else:
+        for i, a in enumerate(cycle):
+            for j in range(i + 1, len(cycle)):
+                pts = dense_meeting_points(cfg, a, cycle[j])
+                want = 1 if j - i == 1 or (i == 0 and j == len(cycle) - 1) else 0
+                if pts != want:
+                    problems.append(f"{a},{cycle[j]} meet at {pts} points, need {want}")
+    if problems:
+        raise ValueError("not a simple loop: " + "; ".join(problems))
+    total = sum(cfg.node(c).self_int for c in chain)
+    bound = -2 * len(chain) - 1
+    comps = len(dense_components(cfg, list(range(len(cfg.nodes)))))
+    rank = sum(e.count for e in cfg.edges) - len(cfg.nodes) + comps
+    return LoopReport(len(chain), total, bound, total <= bound, rank, rank == 1)
+
+
+def dense_log_enriques_shape(cfg):
+    gram = cfg.gram()
+    ok, chains, lone, degenerate = True, [], [], []
+    for comp in dense_components(cfg, list(range(len(cfg.nodes)))):
+        nodes = [cfg.nodes[i] for i in comp]
+        if any(n.mult != 1 or n.genus != 0 or n.sing is not None for n in nodes):
+            ok = False
+            continue
+        if len(comp) == 1:
+            if nodes[0].self_int == -4:
+                lone.append(nodes[0].id)
+            else:
+                ok = False
+            continue
+        deg = {i: sum(1 for j in comp if j != i and gram[i][j] != 0) for i in comp}
+        if any(gram[i][j] > 1 for i in comp for j in comp if i != j):
+            ok = False
+            continue
+        ends = [i for i in comp if deg[i] == 1]
+        interior = [i for i in comp if deg[i] == 2]
+        if (len(ends) != 2 or len(ends) + len(interior) != len(comp)
+                or any(cfg.nodes[i].self_int != -3 for i in ends)
+                or any(cfg.nodes[i].self_int != -2 for i in interior)):
+            ok = False
+            continue
+        order, prev = [ends[0]], None
+        while len(order) < len(comp):
+            here = order[-1]
+            nxt = [j for j in comp if j != here and j != prev and gram[here][j] != 0]
+            if not nxt:
+                break
+            prev = here
+            order.append(nxt[0])
+        chains.append(tuple(cfg.nodes[i].id for i in order))
+        if not interior:
+            degenerate.append(chains[-1])
+    return LogEnriquesReport(ok, tuple(chains), tuple(lone), tuple(degenerate))
+
+
+def dense_signature(cfg):
+    deg = {n.id: 0 for n in cfg.nodes}
+    for e in cfg.edges:
+        deg[e.a] += e.count
+        deg[e.b] += e.count
+    node_sig = sorted((n.self_int, n.genus, n.mult, n.sing or "", deg[n.id]) for n in cfg.nodes)
+    return tuple(node_sig), tuple(sorted((e.count, e.tangency) for e in cfg.edges)), len(cfg.triple_points)
+
+
+def dense_isomorphic(a, b):
+    ga, gb = a.gram(), b.gram()
+    na = len(a.nodes)
+    pa = [[0] * na for _ in range(na)]
+    pb = [[0] * na for _ in range(na)]
+    for cfg, points in ((a, pa), (b, pb)):
+        for e in cfg.edges:
+            i, j = cfg.ids.index(e.a), cfg.ids.index(e.b)
+            points[i][j] += e.count
+            points[j][i] += e.count
+
+    def key(cfg, i):
+        n = cfg.nodes[i]
+        return (n.self_int, n.genus, n.mult, n.sing or "")
+
+    mapping, used = [-1] * na, [False] * na
+
+    def extend(i):
+        if i == na:
+            ta = {tuple(sorted(a.ids.index(x) for x in t)) for t in a.triple_points}
+            tb = {tuple(sorted(mapping.index(b.ids.index(x)) for x in t)) for t in b.triple_points}
+            return ta == tb
+        for j in range(na):
+            if used[j] or key(a, i) != key(b, j):
+                continue
+            if any(ga[i][h] != gb[j][mapping[h]] or pa[i][h] != pb[j][mapping[h]] for h in range(i)):
+                continue
+            mapping[i], used[j] = j, True
+            if extend(i + 1):
+                return True
+            mapping[i], used[j] = -1, False
+        return False
+
+    return extend(0)
+
+
+@functools.cache
+def dense_models():
+    return tuple((name, kodaira_fiber(name), dense_signature(kodaira_fiber(name))) for name in FIBER_NAMES)
+
+
+def dense_recognize_fiber(cfg):
+    signature = dense_signature(cfg)
+    for name, model, model_signature in dense_models():
+        if signature == model_signature and dense_isomorphic(cfg, model):
+            return name
+    return None
+
+
+def outcome(fn, *args):
+    """A call's answer, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to six nodes, mult 1 or 2, with repeated edges on one pair, count
+    and tangency up to 3, triple points and disconnected supports."""
+    n = draw(st.integers(1, 6))
+    nodes = tuple(
+        Node(f"N{i}", draw(st.integers(-4, 1)), genus=draw(st.sampled_from((0, 0, 0, 1))),
+             mult=draw(st.integers(1, 2)), sing=draw(st.sampled_from((None, None, None, "node"))))
+        for i in range(n)
+    )
+    ordered = [(a.id, b.id) for a in nodes for b in nodes if a.id != b.id]
+    edges = tuple(
+        Edge(a, b, count, tangency)
+        for (a, b), count, tangency in draw(st.lists(
+            st.tuples(st.sampled_from(ordered), st.integers(1, 3), st.integers(1, 3)), max_size=8
+        ))
+    ) if ordered else ()
+    triples = tuple(draw(st.lists(
+        st.sampled_from(list(itertools.combinations([x.id for x in nodes], 3))), max_size=2, unique=True
+    ))) if n >= 3 else ()
+    return CurveConfiguration(nodes, edges, triples)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(multigraphs(), st.data())
+def test_adjacency_readers_match_dense_gram(cfg, data):
+    gram, ids, n = cfg.gram(), cfg.ids, len(cfg.nodes)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                points = dense_meeting_points(cfg, ids[i], ids[j])
+                assert cfg.meeting_points(ids[i], ids[j]) == points
+                assert cfg.adjacency[i].get(j, (0, 0)) == (gram[i][j], points)
+    support = data.draw(st.lists(st.sampled_from(range(n)), unique=True))
+    assert cfg.components(support) == dense_components(cfg, support)
+    vectors = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    m1, m2 = data.draw(vectors), data.draw(vectors)
+    assert cfg.pairing(m1, m2) == dense_pairing(gram, m1, m2)
+    subset = data.draw(st.one_of(st.none(), st.dictionaries(st.sampled_from(ids), st.integers(0, 2))))
+    if subset is not None and not any(subset.values()):
+        subset = None
+    assert divisor_pa(cfg, subset) == dense_divisor_pa(cfg, subset)
+    parts = data.draw(st.permutations(ids))
+    cut = data.draw(st.integers(1, n))
+    d1, d2 = parts[:cut], parts[cut:] or parts[:1]
+    assert outcome(pa_sum_formula_check, cfg, d1, d2) == outcome(dense_pa_sum_formula_check, cfg, d1, d2)
+
+
+@st.composite
+def chain_unions(draw):
+    """Lone (-4)-curves and (-3)-(-2)...-(-2)-(-3) chains in shuffled node
+    order, often with one edit: a moved self-intersection, a multiplicity,
+    an extra, doubled or dropped edge."""
+    nodes, edges = [], []
+    for c in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 5))
+        ids = [f"K{c}.{i}" for i in range(length)]
+        selfs = [-4] if length == 1 else [-3] + [-2] * (length - 2) + [-3]
+        nodes += [Node(x, s) for x, s in zip(ids, selfs)]
+        edges += [Edge(*draw(st.permutations((ids[i], ids[i + 1])))) for i in range(length - 1)]
+    edit = draw(st.sampled_from(("none", "none", "self", "mult", "extra", "double", "drop")))
+    k = draw(st.integers(0, len(nodes) - 1))
+    if edit == "self":
+        nodes[k] = Node(nodes[k].id, nodes[k].self_int + draw(st.sampled_from((-1, 1))))
+    elif edit == "mult":
+        nodes[k] = Node(nodes[k].id, nodes[k].self_int, mult=2)
+    elif edit == "extra" and len(nodes) > 1:
+        a, b = draw(st.permutations([x.id for x in nodes]))[:2]
+        edges.append(Edge(a, b))
+    elif edit == "double" and edges:
+        edges[k % len(edges)] = Edge(edges[k % len(edges)].a, edges[k % len(edges)].b, count=2)
+    elif edit == "drop" and edges:
+        edges.pop(k % len(edges))
+    return CurveConfiguration(tuple(draw(st.permutations(nodes))), tuple(edges))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(chain_unions(), multigraphs()))
+def test_log_enriques_shape_matches_dense(cfg):
+    assert log_enriques_shape(cfg) == dense_log_enriques_shape(cfg)
+
+
+@st.composite
+def loops(draw):
+    """A loop of 2-5 nodes, up to two extra nodes and edges, and the chain
+    read from a random start in a random direction, sometimes shuffled."""
+    length = draw(st.integers(2, 5))
+    ids = [f"L{i}" for i in range(length)] + [f"X{i}" for i in range(draw(st.integers(0, 2)))]
+    nodes = tuple(Node(x, draw(st.integers(-7, 0))) for x in ids)
+    if length == 2:
+        edges = [Edge("L0", "L1", count=2)]
+    else:
+        edges = [Edge(f"L{i}", f"L{(i + 1) % length}") for i in range(length)]
+    for a, b, count in draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 2)).filter(lambda t: t[0] != t[1]),
+        max_size=2,
+    )):
+        edges.append(Edge(a, b, count))
+    start, step = draw(st.integers(0, length - 1)), draw(st.sampled_from((1, -1)))
+    cycle = [f"L{(start + step * i) % length}" for i in range(length)]
+    chain = cycle[1:]
+    if draw(st.booleans()):
+        chain = list(draw(st.permutations(chain)))
+    return CurveConfiguration(nodes, tuple(edges)), chain, cycle[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(loops())
+def test_loop_inequality_matches_dense(case):
+    cfg, chain, m1 = case
+    assert outcome(loop_inequality_check, cfg, chain, m1) == outcome(dense_loop_inequality_check, cfg, chain, m1)
+
+
+@st.composite
+def fiber_variants(draw):
+    """A Kodaira model with shuffled, renamed nodes and edges, either as it is
+    or after one edit."""
+    name = draw(st.sampled_from(FIBER_NAMES))
+    data = kodaira_fiber(name).to_json()
+    rename = dict(zip((n["id"] for n in data["nodes"]), draw(st.permutations(range(len(data["nodes"]))))))
+    nodes = [{**n, "id": f"v{rename[n['id']]}"} for n in data["nodes"]]
+    edges = [{**e, "a": f"v{rename[e['a']]}", "b": f"v{rename[e['b']]}"} for e in data["edges"]]
+    edges = [{**e, "a": e["b"], "b": e["a"]} if draw(st.booleans()) else e for e in edges]
+    edit = draw(st.sampled_from(("none", "none", "none", "self", "mult", "drop", "count", "tangency")))
+    if edit in ("self", "mult"):
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        node[edit] += 1 if edit == "mult" else draw(st.sampled_from((-1, 1)))
+    elif edges and edit != "none":
+        k = draw(st.integers(0, len(edges) - 1))
+        if edit == "drop":
+            edges.pop(k)
+        else:
+            edges[k] = {**edges[k], edit: edges[k][edit] + 1}
+    triples = [[f"v{rename[x]}" for x in t] for t in data.get("triples", ())]
+    cfg = config_from_json({"nodes": draw(st.permutations(nodes)), "edges": draw(st.permutations(edges)),
+                            "triples": triples})
+    return cfg, name if edit == "none" else None
+
+
+@settings(max_examples=70, deadline=None, derandomize=True)
+@given(fiber_variants())
+def test_recognize_fiber_matches_dense(case):
+    cfg, name = case
+    found = recognize_fiber(cfg)
+    assert found == dense_recognize_fiber(cfg)
+    if name is not None:
+        assert found == name
+
+
+def test_config_from_json_loads_every_model_and_refuses_non_integers():
+    for name in FIBER_NAMES:
+        assert config_from_json(kodaira_fiber(name).to_json()) == kodaira_fiber(name)
+    for bad in (-1.5, -1.0, True, "-1", None):
+        with pytest.raises(ValueError, match="'self' must be an integer"):
+            config_from_json({"nodes": [{"id": "A", "self": bad}]})
+    with pytest.raises(ValueError, match="'nodes'"):
+        config_from_json({"nodes": []})
+
+
+def test_library_builds_no_dense_gram(monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("the library built a dense Gram")
+
+    monkeypatch.setattr(CurveConfiguration, "gram", refuse)
+    cases = [kodaira_fiber(name) for name in ("I5", "I2", "IV", "I2*", "II*")]
+    cases += [chain(-3, -2, -2, -3), chain(-2, -2, -2)]
+    cases.append(CurveConfiguration(  # a near-miss of 2 I0*: D.C < 0 on a leaf, so it scans
+        (Node("C", -2, mult=4),) + tuple(Node(f"L{i}", -2 - (i == 0), mult=2) for i in range(4)),
+        tuple(Edge("C", f"L{i}") for i in range(4)),
+    ))
+    for cfg in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_json()))
+        assert cli.main(["check-config", "--input", str(path), "--json"]) == 0
+        assert (recognize_fiber(cfg) is None) is (cfg in cases[-3:])
+        is_numerically_k_connected(cfg, None, 1)
+    capsys.readouterr()
+    # both scans: Python integers at 4096 decompositions, numpy blocks above
+    assert is_numerically_k_connected(cases[1], {"A": 15, "B": 255}, 1) is False
+    assert is_numerically_k_connected(cases[1], {"A": 16, "B": 240}, 1) is False
+    assert pa_sum_formula_check(cases[0], ["C0", "C1"], ["C2", "C3", "C4"])["holds"]
+    assert loop_inequality_check(cases[0], ["C1", "C2", "C3", "C4"], "C0").loop_unique
+    assert log_enriques_shape(cases[5]).chains == (("C0", "C1", "C2", "C3"),)
