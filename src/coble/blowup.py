@@ -171,11 +171,11 @@ def proper_transform(seq: BlowUpSequence, c: CurveAssignment) -> DivisorClass:
         >>> proper_transform(seq, c).self_intersection()
         -4
     """
-    cls = seq.lift(c.base_class)
+    coeffs = list(seq.lift(c.base_class).coeffs)
+    labels = seq.lattice.basis_labels
     for cid, m in c.mults.items():
-        if m:
-            cls = cls - m * seq.lattice.basis_class(cid)
-    return cls
+        coeffs[labels.index(cid)] -= m
+    return DivisorClass(seq.lattice, tuple(coeffs))
 
 
 @dataclass(frozen=True)

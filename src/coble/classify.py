@@ -22,12 +22,11 @@ covers of index-1 and index-2 genus-1 pencils.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .config import UNDETERMINED, CurveConfiguration, check_snc, divisor_pa
-from .lattice import Base, DivisorClass, Hirzebruch, P2, make_lattice, pair
-
-P1XP1 = Hirzebruch(0)
+from .lattice import Base, DivisorClass, Hirzebruch, P2, base_from_json, make_lattice, pair
 
 REDUCED_FIBERS = {"smooth", "II", "III", "IV"} | {f"I{n}" for n in range(1, 13)}
 
@@ -108,27 +107,47 @@ class RationalTypeInput:
 
 
 def input_from_json(data) -> RationalTypeInput:
-    import json
+    """Read a classification input from JSON text or its decoded object.
 
+    ``y_min`` goes through ``base_from_json``.  ``k``, ``m``, every ``g``,
+    every class coefficient and every ``marked_point.on`` index must be a
+    JSON integer; a non-integer or a wrong shape raises ValueError naming
+    the field.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    desc = data["y_min"]
-    base = P1XP1 if desc == "P1xP1" else _base_from(desc)
-    lat = make_lattice(base, 0)
-    comps = tuple(
-        Component(str(c["role"]), int(c["g"]), lat.make_class(c["class"]))
-        for c in data["components"]
-    )
+    lat = make_lattice(base_from_json(_json_field(data, "y_min")), 0)
+    comps = []
+    for i, c in enumerate(_json_field(data, "components", "", list)):
+        where = f"components[{i}]."
+        row = _json_field(c, "class", where, list)
+        coeffs = [_json_typed(v, f"{where}class[{j}]", int) for j, v in enumerate(row)]
+        if len(coeffs) != lat.rank:
+            raise ValueError(f"{where}class needs {lat.rank} coefficients on {lat.base}, got {len(coeffs)}")
+        role, g = _json_field(c, "role", where), _json_field(c, "g", where, int)
+        comps.append(Component(str(role), g, lat.make_class(coeffs)))
     mp = None
     if "marked_point" in data:
-        mp = MarkedPoint(tuple(int(i) for i in data["marked_point"]["on"]))
-    return RationalTypeInput(base, int(data["k"]), int(data["m"]), comps, mp)
+        on = _json_field(data["marked_point"], "on", "marked_point.", list)
+        mp = MarkedPoint(tuple(_json_typed(v, f"marked_point.on[{j}]", int) for j, v in enumerate(on)))
+    k, m = (_json_field(data, key, "", int) for key in ("k", "m"))
+    return RationalTypeInput(lat.base, k, m, tuple(comps), mp)
 
 
-def _base_from(desc):
-    from .lattice import base_from_json
+def _json_field(obj, key: str, where: str = "", kind=None):
+    """``obj[key]``, checked to be of ``kind`` if given."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where.rstrip('.') or 'classification input'} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"missing field {where}{key}")
+    return obj[key] if kind is None else _json_typed(obj[key], where + key, kind)
 
-    return base_from_json(desc)
+
+def _json_typed(value, name: str, kind: type):
+    if type(value) is not kind:  # exact arithmetic: no bool, float or string for an int
+        what = "integer" if kind is int else "array"
+        raise ValueError(f"{name} must be a JSON {what}, got {json.dumps(value, default=repr)}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .classify import input_from_json, is_k3_type, log_enriques_shape, match_rat
 from .config import check_snc, config_from_json, divisor_pa
 from .cremona import ReductionError, noether_reduce, parse_vector, to_class
 from .fibers import recognize_fiber
-from .lattice import Hirzebruch, P2, arithmetic_genus, make_lattice
+from .lattice import arithmetic_genus, base_from_json, make_lattice
 from .negcurves import enumerate_negative_classes
 
 
@@ -64,11 +64,11 @@ def _cmd_reduce(args) -> int:
 def _cmd_genus(args) -> int:
     try:
         vector = parse_vector(args.vector)
-    except ValueError as exc:
+        cls = to_class(vector)
+        pa = arithmetic_genus(cls)
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cls = to_class(vector)
-    pa = arithmetic_genus(cls)
     data = {"vector": str(vector), "class": list(cls.coeffs), "p_a": pa}
     _emit(data, args.json, lambda d: print(f"p_a = {d['p_a']}"))
     return 0
@@ -77,10 +77,14 @@ def _cmd_genus(args) -> int:
 def _cmd_classify(args) -> int:
     try:
         inp = input_from_json(_read_input(args.input))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: cannot read classification input: {exc}", file=sys.stderr)
         return 2
-    report = match_rational_case(inp)
+    try:
+        report = match_rational_case(inp)
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def human(data):
         if data["matched_cases"]:
@@ -102,17 +106,9 @@ def _cmd_classify(args) -> int:
     return 0 if report.matched_cases else 1
 
 
-def _parse_base(text: str):
-    if text == "P2":
-        return P2()
-    if text.startswith("F") and text[1:].isdigit():
-        return Hirzebruch(int(text[1:]))
-    raise ValueError(f"unknown base {text!r} (use P2 or F<b>)")
-
-
 def _cmd_enumerate(args) -> int:
     try:
-        base = _parse_base(args.base)
+        base = base_from_json(args.base)
         lattice = make_lattice(base, args.points)
         classes = enumerate_negative_classes(
             lattice, args.negativity, args.cap, args.shape
@@ -261,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate numerical negative-curve classes on a blow-up lattice")
-    p.add_argument("--base", default="P2", help="P2 (default) or F<b>")
+    p.add_argument("--base", default="P2", help="P2 (default), P1xP1 or F<b>")
     p.add_argument("--points", type=int, default=9, help="number of blown-up points (default 9)")
     p.add_argument("-n", "--negativity", type=int, default=1, help="enumerate (-n)-classes (default 1)")
     p.add_argument("--cap", type=int, default=5, help="degree cap (default 5)")

@@ -551,13 +551,17 @@ def loop_inequality_check(cfg: CurveConfiguration, chain, m1: str) -> LoopReport
         raise ValueError("loop nodes must be distinct")
     if len(cycle) < 2:
         raise ValueError("a loop needs at least two components")
-    problems = []
+    n, position, problems = len(cycle), {nid: i for i, nid in enumerate(cycle)}, []
     for i, a in enumerate(cycle):
-        for j in range(i + 1, len(cycle)):
+        # only consecutive members and members that meet can fail the test,
+        # so check those partners j > i, in order: O(L + e) lookups in all
+        met = (position.get(cfg.nodes[h].id, -1) for h in cfg.adjacency[cfg._index[a]]) if a in cfg._index else ()
+        partners = {j for j in met if j > i} | {j for j in (i + 1, n - 1 if i == 0 else i + 1) if j < n}
+        for j in sorted(partners):
             b = cycle[j]
             pts = cfg.meeting_points(a, b)
-            consecutive = j - i == 1 or (i == 0 and j == len(cycle) - 1)
-            want = (2 if len(cycle) == 2 else 1) if consecutive else 0
+            consecutive = j - i == 1 or (i == 0 and j == n - 1)
+            want = (2 if n == 2 else 1) if consecutive else 0
             if pts != want:
                 problems.append(f"{a},{b} meet at {pts} points, need {want}")
     if problems:

@@ -65,6 +65,29 @@ def _seq(base, centers, curves):
     return seq, assignments
 
 
+# The triangle pencil's nine blow-ups, (id, parent, on) triples, and its six
+# lines, label -> (class coeffs, mults); sections_to_minus_four extends copies.
+_TRIANGLE_CENTERS = (
+    ("p12", None, ("L1", "L2", "L4")),
+    ("p12n", "p12", ("L4",)),
+    ("p13", None, ("L1", "L3", "L5")),
+    ("p13n", "p13", ("L5",)),
+    ("p23", None, ("L2", "L3", "L6")),
+    ("p23n", "p23", ("L6",)),
+    ("p16", None, ("L1", "L6")),
+    ("p25", None, ("L2", "L5")),
+    ("p34", None, ("L3", "L4")),
+)
+_TRIANGLE_CURVES = {
+    "L1": ([1], {"p12": 1, "p13": 1, "p16": 1}),
+    "L2": ([1], {"p12": 1, "p23": 1, "p25": 1}),
+    "L3": ([1], {"p13": 1, "p23": 1, "p34": 1}),
+    "L4": ([1], {"p12": 1, "p12n": 1, "p34": 1}),
+    "L5": ([1], {"p13": 1, "p13n": 1, "p25": 1}),
+    "L6": ([1], {"p23": 1, "p23n": 1, "p16": 1}),
+}
+
+
 def triangle_pencil() -> ExampleBundle:
     """Cubic pencil spanned by two line triangles in special position.
 
@@ -76,26 +99,7 @@ def triangle_pencil() -> ExampleBundle:
     one triangle node yields a surface with an isolated bi-anticanonical
     pencil of self-intersection 6 and K^2 = -1.
     """
-    centers = [
-        ("p12", None, ("L1", "L2", "L4")),
-        ("p12n", "p12", ("L4",)),
-        ("p13", None, ("L1", "L3", "L5")),
-        ("p13n", "p13", ("L5",)),
-        ("p23", None, ("L2", "L3", "L6")),
-        ("p23n", "p23", ("L6",)),
-        ("p16", None, ("L1", "L6")),
-        ("p25", None, ("L2", "L5")),
-        ("p34", None, ("L3", "L4")),
-    ]
-    curves = {
-        "L1": ([1], {"p12": 1, "p13": 1, "p16": 1}),
-        "L2": ([1], {"p12": 1, "p23": 1, "p25": 1}),
-        "L3": ([1], {"p13": 1, "p23": 1, "p34": 1}),
-        "L4": ([1], {"p12": 1, "p12n": 1, "p34": 1}),
-        "L5": ([1], {"p13": 1, "p13n": 1, "p25": 1}),
-        "L6": ([1], {"p23": 1, "p23n": 1, "p16": 1}),
-    }
-    seq, assignments = _seq(P2(), centers, curves)
+    seq, assignments = _seq(P2(), _TRIANGLE_CENTERS, _TRIANGLE_CURVES)
     hexagon = configuration_from_classes(
         [("L1", proper_transform(seq, assignments["L1"]), 0, 1),
          ("L2", proper_transform(seq, assignments["L2"]), 0, 1),
@@ -356,12 +360,8 @@ def sections_to_minus_four(m: int = 6) -> ExampleBundle:
     """
     if not 1 <= m <= 6:
         raise ValueError("m must be between 1 and 6")
-    base = triangle_pencil()
-    centers = [(c.id, c.parent, c.on_curves) for c in base.sequences["V"][0].centers]
-    curves = {
-        lbl: (list(a.base_class.coeffs), dict(a.mults))
-        for lbl, a in base.sequences["V"][1].items()
-    }
+    centers = list(_TRIANGLE_CENTERS)
+    curves = {lbl: (cls, dict(mults)) for lbl, (cls, mults) in _TRIANGLE_CURVES.items()}
     chosen = list(_HEX_CYCLE[:m])
     needed = sorted({k % 6 for comp in range(m) for k in (comp - 1, comp)})
     node_ids = []

@@ -12,17 +12,24 @@ the Hirzebruch surface F_b gives the basis
 
 with K = -(b+2) f - 2 s0 + e1 + ... + en.  In both cases K^2 = (9 or 8) - n.
 
-Every coefficient is an exact Python integer; a guard raises OverflowError
-if any value leaves the signed 64-bit range, which the intended inputs
-never approach.  Divisor classes are immutable and carry their lattice, so
-mixing classes from different lattices is an error rather than a silent
-mispairing.
+A lattice is just its base and its basis labels; the Gram matrix and K are
+derived from the base, and ``pair`` is the closed form: the head term
+(a0 b0 on P2; a0 b1 + a1 b0 - b a1 b1 on F_b) minus the sum of a_i b_i over
+the exceptional coordinates.
+
+Every coefficient is an exact Python integer.  A guard raises OverflowError
+if a value leaves the signed 64-bit range, which the intended inputs never
+approach; it runs where values enter a lattice, at class construction (so
+on every sum, difference and multiple), and on pairing results.  Divisor
+classes are immutable and carry their lattice, so mixing classes from
+different lattices is an error rather than a silent mispairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 I64_MAX = 2**63 - 1
 
@@ -69,11 +76,21 @@ Base = P2 | Hirzebruch
 
 
 def base_from_json(descriptor) -> Base:
+    """The base named by ``"P2"``, ``"P1xP1"``, ``"F<b>"`` or ``{"Fb": b}``.
+
+    In ``"F<b>"`` b is a run of ASCII digits; in ``{"Fb": b}`` a JSON integer
+    (no bool, float or string).  Anything else raises ValueError.
+    """
     if descriptor == "P2":
         return P2()
-    if isinstance(descriptor, dict) and set(descriptor) == {"Fb"}:
-        return Hirzebruch(int(descriptor["Fb"]))
-    raise ValueError(f"not a base descriptor: {descriptor!r}")
+    if descriptor == "P1xP1":
+        return Hirzebruch(0)
+    digits = descriptor[1:] if isinstance(descriptor, str) and descriptor[:1] == "F" else ""
+    if digits.isascii() and digits.isdigit():
+        return Hirzebruch(int(digits))
+    if isinstance(descriptor, dict) and set(descriptor) == {"Fb"} and type(descriptor["Fb"]) is int:
+        return Hirzebruch(descriptor["Fb"])
+    raise ValueError(f"unknown base {descriptor!r} (use P2, P1xP1, F<b> or {{\"Fb\": b}})")
 
 
 @dataclass(frozen=True)
@@ -83,16 +100,24 @@ class IntersectionLattice:
     base: Base
     n_blowups: int
     basis_labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    canonical_coeffs: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.basis_labels)
 
     @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Dense Gram matrix: the base's head block, then -1 on the diagonal."""
+        head = ((1,),) if isinstance(self.base, P2) else ((0, 1), (1, -self.base.b))
+        zero = (0,) * self.rank
+        return tuple(r + zero[len(r):] for r in head) + tuple(
+            zero[:i] + (-1,) + zero[i + 1:] for i in range(len(head), self.rank)
+        )
+
+    @property
     def canonical(self) -> "DivisorClass":
-        return DivisorClass(self, self.canonical_coeffs)
+        head = (-3,) if isinstance(self.base, P2) else (-(self.base.b + 2), -2)
+        return DivisorClass(self, head + (1,) * self.n_blowups)
 
     @property
     def k_squared(self) -> int:
@@ -112,9 +137,6 @@ class IntersectionLattice:
 
     def make_class(self, coeffs) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coeffs))
-
-    def json_descriptor(self) -> dict:
-        return {"base": self.base.json_descriptor(), "n": self.n_blowups}
 
     def __repr__(self) -> str:
         return f"IntersectionLattice({self.base}, n={self.n_blowups})"
@@ -140,32 +162,8 @@ def make_lattice(base: Base, n_blowups: int, point_labels=None) -> IntersectionL
         point_labels = tuple(point_labels)
         if len(point_labels) != n_blowups:
             raise ValueError("point_labels length must equal n_blowups")
-    if isinstance(base, P2):
-        labels = ("e0",) + point_labels
-        head = [[1]]
-        canonical = (-3,) + (1,) * n_blowups
-    else:
-        labels = ("f", "s0") + point_labels
-        head = [[0, 1], [1, -base.b]]
-        canonical = (-(base.b + 2), -2) + (1,) * n_blowups
-    rank = len(labels)
-    gram = [[0] * rank for _ in range(rank)]
-    for i, row in enumerate(head):
-        for j, v in enumerate(row):
-            gram[i][j] = v
-    for i in range(len(head), rank):
-        gram[i][i] = -1
-    return IntersectionLattice(
-        base=base,
-        n_blowups=n_blowups,
-        basis_labels=labels,
-        gram=tuple(tuple(r) for r in gram),
-        canonical_coeffs=canonical,
-    )
-
-
-def lattice_from_json(descriptor: dict) -> IntersectionLattice:
-    return make_lattice(base_from_json(descriptor["base"]), int(descriptor["n"]))
+    head = ("e0",) if isinstance(base, P2) else ("f", "s0")
+    return IntersectionLattice(base, n_blowups, head + point_labels)
 
 
 @dataclass(frozen=True)
@@ -185,17 +183,11 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_lattice(self, other)
-        return DivisorClass(
-            self.lattice,
-            tuple(_check_i64(a + b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         _same_lattice(self, other)
-        return DivisorClass(
-            self.lattice,
-            tuple(_check_i64(a - b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return DivisorClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
@@ -203,7 +195,7 @@ class DivisorClass:
     def __rmul__(self, k: int) -> "DivisorClass":
         if not isinstance(k, int):
             return NotImplemented
-        return DivisorClass(self.lattice, tuple(_check_i64(k * a) for a in self.coeffs))
+        return DivisorClass(self.lattice, tuple(k * a for a in self.coeffs))
 
     __mul__ = __rmul__
 
@@ -212,12 +204,6 @@ class DivisorClass:
 
     def self_intersection(self) -> int:
         return pair(self, self)
-
-    def coefficient(self, label: str) -> int:
-        return self.coeffs[self.lattice.basis_labels.index(label)]
-
-    def to_json(self) -> dict:
-        return {"lattice": self.lattice.json_descriptor(), "coeffs": list(self.coeffs)}
 
     def __str__(self) -> str:
         terms = []
@@ -228,11 +214,6 @@ class DivisorClass:
             mag = abs(c)
             terms.append(f"{sign}{'' if mag == 1 else mag}{label}")
         return "".join(terms) if terms else "0"
-
-
-def class_from_json(data: dict) -> DivisorClass:
-    lat = lattice_from_json(data["lattice"])
-    return lat.make_class(data["coeffs"])
 
 
 def _same_lattice(a: DivisorClass, b: DivisorClass) -> None:
@@ -253,18 +234,13 @@ def pair(a: DivisorClass, b: DivisorClass) -> int:
         0
     """
     _same_lattice(a, b)
-    gram = a.lattice.gram
-    total = 0
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = gram[i]
-        s = 0
-        for j, bj in enumerate(b.coeffs):
-            if bj:
-                s += row[j] * bj
-        total += ai * s
-    return _check_i64(total)
+    x, y = a.coeffs, b.coeffs
+    base = a.lattice.base
+    if isinstance(base, P2):
+        head, h = x[0] * y[0], 1
+    else:
+        head, h = x[0] * y[1] + x[1] * y[0] - base.b * x[1] * y[1], 2
+    return _check_i64(head - sum(map(mul, x[h:], y[h:])))
 
 
 def arithmetic_genus(c: DivisorClass) -> int:

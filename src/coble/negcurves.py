@@ -178,7 +178,7 @@ def _assert_negative_classes(rows, lattice, n):
     """
     a = np.array(rows, dtype=np.int64).reshape(len(rows), lattice.rank)
     gram = np.array(lattice.gram, dtype=np.int64)
-    canonical = np.array(lattice.canonical_coeffs, dtype=np.int64)
+    canonical = np.array(lattice.canonical.coeffs, dtype=np.int64)
     a_gram = a @ gram
     bad = np.flatnonzero(((a_gram * a).sum(axis=1) != -n) | (a_gram @ canonical != n - 2))
     if bad.size:

@@ -101,6 +101,58 @@ def test_classify_no_match_and_errors(capsys, tmp_path):
     assert code == 2
 
 
+def _case9(**changes):
+    data = json.loads(json.dumps(CASE9_INPUT))
+    for key, value in changes.items():
+        if key in ("g", "class"):
+            data["components"][0][key] = value
+        else:
+            data[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text, field", [
+    (_case9(g=1.9), "components[0].g must be a JSON integer, got 1.9"),
+    (_case9(**{"class": [1.7]}), "components[0].class[0] must be a JSON integer, got 1.7"),
+    (_case9(k=True), "k must be a JSON integer, got true"),
+    (_case9(m="4"), 'm must be a JSON integer, got "4"'),
+    (_case9(**{"class": [1, "1"]}), "components[0].class[1] must be a JSON integer"),
+    (_case9(**{"class": [2, 0]}), "components[0].class needs 1 coefficients"),
+    (_case9(marked_point={"on": [0.0]}), "marked_point.on[0] must be a JSON integer"),
+    (_case9(marked_point=[0]), "marked_point must be a JSON object"),
+    (_case9(components=5), "components must be a JSON array"),
+    (_case9(components=[5]), "components[0] must be a JSON object"),
+    (_case9(y_min={"Fb": 2.5}), "unknown base {'Fb': 2.5}"),
+    (_case9(y_min="P3"), "unknown base 'P3'"),
+    ("[]", "classification input must be a JSON object"),
+    ('{"y_min": "P2"}', "missing field components"),
+], ids=["float-g", "float-class", "bool-k", "string-m", "string-class", "class-length", "float-marked-point",
+        "marked-point-list", "number-components", "number-component", "float-Fb", "P3", "list", "no-components"])
+def test_classify_refuses_malformed_input(capsys, tmp_path, text, field):
+    # exact arithmetic: a number that is not a JSON integer is refused, not truncated
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read classification input: ") and field in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["genus", "(3037000500)"], 3037000500**2),
+    (["genus", "(4294967296;1)"], 2**64 - 1),
+    (["classify", "--input", _case9(**{"class": [99999999999999999999]})], 99999999999999999999),
+    (["classify", "--input", _case9(**{"class": [3037000500]})], 3037000500**2),
+], ids=["genus-degree", "genus-pairing", "classify-coefficient", "classify-pairing"])
+def test_int64_overflow_is_a_usage_error(capsys, tmp_path, argv, value):
+    if argv[0] == "classify":
+        path = tmp_path / "big.json"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + [str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"value {value} leaves the signed 64-bit range" in err
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, ["enumerate", "--points", "3", "--cap", "5"])
     assert code == 0
@@ -118,6 +170,16 @@ def test_enumerate(capsys):
     )
     data = json.loads(out)
     assert code == 0 and data["classes"] == [[0, 1]]
+
+
+def test_enumerate_base_spellings(capsys):
+    # --base goes through the one base parser: P1xP1 and F0 name the same surface
+    outputs = [
+        run(capsys, ["enumerate", "--base", base, "--points", "2", "--cap", "2", "--json"])
+        for base in ("P1xP1", "F0")
+    ]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert json.loads(outputs[0][1])["base"] == "F0"
 
 
 def test_enumerate_errors(capsys):

@@ -755,6 +755,26 @@ def test_loop_inequality_matches_dense(case):
     assert outcome(loop_inequality_check, cfg, chain, m1) == outcome(dense_loop_inequality_check, cfg, chain, m1)
 
 
+def test_loop_inequality_checks_linearly_many_pairs(monkeypatch):
+    # a 2,000-member simple loop of (-3)-curves plus one chord: at most 2L + e
+    # meeting_points lookups, where checking every pair would take L(L - 1)/2
+    n = 2000
+    ids = [f"C{i}" for i in range(n)]
+    edges = [Edge(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    chord = CurveConfiguration(tuple(Node(c, -3) for c in ids), tuple(edges) + (Edge(ids[0], ids[n // 2]),))
+    simple = CurveConfiguration(tuple(Node(c, -3) for c in ids), tuple(edges))
+    calls = []
+    real = CurveConfiguration.meeting_points
+    monkeypatch.setattr(CurveConfiguration, "meeting_points", lambda cfg, a, b: calls.append((a, b)) or real(cfg, a, b))
+    report = loop_inequality_check(simple, ids[1:], ids[0])
+    assert report.inequality_holds and report.loop_unique
+    assert len(calls) <= 2 * n + len(simple.edges)
+    calls.clear()
+    with pytest.raises(ValueError, match=f"C0,C{n // 2} meet at 1 points, need 0"):
+        loop_inequality_check(chord, ids[1:], ids[0])
+    assert len(calls) <= 2 * n + len(chord.edges)
+
+
 @st.composite
 def fiber_variants(draw):
     """A Kodaira model with shuffled, renamed nodes and edges, either as it is

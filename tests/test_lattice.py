@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coble.lattice import (
     CurveShape,
@@ -11,9 +13,8 @@ from coble.lattice import (
     LatticeMismatch,
     P2,
     arithmetic_genus,
+    base_from_json,
     canonical_orthogonal_basis,
-    class_from_json,
-    lattice_from_json,
     make_lattice,
     pair,
     reflect,
@@ -181,9 +182,96 @@ def test_special_h0_shapes():
         special_h0(lat.make_class([0, 1]), CurveShape.GENUS1_IRREDUCIBLE)
 
 
-def test_json_round_trips():
-    lat = make_lattice(Hirzebruch(3), 2)
-    cls = lat.make_class([4, 1, -2, 0])
-    again = class_from_json(cls.to_json())
-    assert again == cls
-    assert lattice_from_json(lat.json_descriptor()) == lat
+def dense_gram(base, n):
+    """The Gram matrix as the module docstring states it, entry by entry."""
+    if isinstance(base, P2):
+        head = [[1]]
+    else:
+        head = [[0, 1], [1, -base.b]]
+    rank = len(head) + n
+    gram = [[0] * rank for _ in range(rank)]
+    for i, row in enumerate(head):
+        gram[i][: len(row)] = row
+    for i in range(len(head), rank):
+        gram[i][i] = -1
+    return gram
+
+
+@st.composite
+def class_pairs(draw):
+    base = draw(st.one_of(st.just(P2()), st.integers(0, 9).map(Hirzebruch)))
+    n = draw(st.integers(0, 12))
+    lat = make_lattice(base, n)
+    coeffs = st.lists(st.integers(-10**6, 10**6), min_size=lat.rank, max_size=lat.rank)
+    return lat, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(class_pairs())
+def test_pair_matches_dense_gram(case):
+    lat, x, y = case
+    gram = dense_gram(lat.base, lat.n_blowups)
+    want = sum(x[i] * gram[i][j] * y[j] for i in range(lat.rank) for j in range(lat.rank))
+    assert pair(lat.make_class(x), lat.make_class(y)) == want
+    assert [list(r) for r in lat.gram] == gram
+
+
+def test_int64_guard_at_construction_and_on_pairings():
+    lat = make_lattice(P2(), 1)
+    top = lat.make_class([2**63 - 1, 0])
+    bottom = lat.make_class([-(2**63), 0])
+    for coeffs in ([2**63, 0], [0, -(2**63) - 1]):
+        with pytest.raises(OverflowError, match="signed 64-bit range"):
+            lat.make_class(coeffs)
+    one = lat.unit(0)
+    crossings = [
+        (lambda: top + one, 2**63),
+        (lambda: bottom - one, -(2**63) - 1),
+        (lambda: 2 * top, 2**64 - 2),
+        (lambda: top * 2, 2**64 - 2),
+        (lambda: -bottom, 2**63),
+    ]
+    for make, value in crossings:
+        with pytest.raises(OverflowError, match=f"value {value} leaves the signed 64-bit range"):
+            make()
+    big = lat.make_class([3037000500, 0])  # 3037000500^2 > 2^63 - 1
+    with pytest.raises(OverflowError, match="signed 64-bit range"):
+        pair(big, big)
+    assert pair(lat.make_class([3037000499, 0]), lat.make_class([3037000499, 0])) == 3037000499**2
+
+
+def test_lattices_equal_by_base_and_labels():
+    a, b = make_lattice(P2(), 4), make_lattice(P2(), 4)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert (a.unit(1) + b.unit(2)).coeffs == (0, 1, 1, 0, 0)
+    assert pair(a.unit(0), b.unit(0)) == 1
+    mismatched = [
+        (make_lattice(P2(), 2), make_lattice(P2(), 2, ["p", "q"])),
+        (make_lattice(Hirzebruch(1), 2), make_lattice(Hirzebruch(2), 2)),
+        (make_lattice(Hirzebruch(1), 0), make_lattice(P2(), 1)),
+    ]
+    for x, y in mismatched:
+        with pytest.raises(LatticeMismatch):
+            pair(x.unit(0), y.unit(0))
+        with pytest.raises(LatticeMismatch):
+            x.unit(0) - y.unit(0)
+
+
+@pytest.mark.parametrize("text, base", [
+    ("P2", P2()),
+    ("P1xP1", Hirzebruch(0)),
+    ("F0", Hirzebruch(0)),
+    ("F12", Hirzebruch(12)),
+    ({"Fb": 3}, Hirzebruch(3)),
+])
+def test_base_from_json_accepts(text, base):
+    assert base_from_json(text) == base
+
+
+@pytest.mark.parametrize("text", [
+    {"Fb": 2.5}, {"Fb": True}, {"Fb": -1}, {"Fb": "2"}, {"Fb": 2, "x": 1},
+    "F", "F-1", "Fx", "F²", "F\u0663", "P3", "p2", None, ["P2"],
+])
+def test_base_from_json_refuses(text):
+    with pytest.raises(ValueError):
+        base_from_json(text)
