@@ -39,6 +39,7 @@ from .blowup import (
     BlowUpSequence,
     Center,
     CurveAssignment,
+    combination,
     configuration_from_classes,
     make_assignment,
     proper_transform,

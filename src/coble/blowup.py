@@ -93,26 +93,15 @@ class BlowUpSequence:
 
     def exceptional(self, cid: str) -> DivisorClass:
         """Total transform class of the exceptional curve over a center."""
-        self.center(cid)
-        return self._lattice.basis_class(cid)
+        return combination(self, {}, [("e:" + cid, 1)])
 
     def exceptional_proper(self, cid: str) -> DivisorClass:
         """Class of the irreducible exceptional curve over a center."""
-        cls = self.exceptional(cid)
-        for child in self.children(cid):
-            cls = cls - self._lattice.basis_class(child)
-        return cls
+        return combination(self, {}, [("e':" + cid, 1)])
 
     def lift(self, base_class: DivisorClass) -> DivisorClass:
         """Pull a base-lattice class back with zero exceptional coefficients."""
-        if base_class.lattice != self.base_lattice:
-            raise LatticeMismatch("class does not live in this sequence's base lattice")
-        head = len(base_class.coeffs)
-        coeffs = base_class.coeffs + (0,) * len(self.centers)
-        assert len(coeffs) == self._lattice.rank and head == self._lattice.rank - len(
-            self.centers
-        )
-        return self._lattice.make_class(coeffs)
+        return _class_of(self, _lifted(self, base_class))
 
 
 @dataclass(frozen=True)
@@ -154,6 +143,48 @@ def make_assignment(seq: BlowUpSequence, label: str, base_class: DivisorClass, m
     return CurveAssignment(label, base_class, mults)
 
 
+def _lifted(seq: BlowUpSequence, base_class: DivisorClass):
+    if base_class.lattice != seq.base_lattice:
+        raise LatticeMismatch("class does not live in this sequence's base lattice")
+    return enumerate(base_class.coeffs)
+
+
+def _proper(seq: BlowUpSequence, c: CurveAssignment):
+    index = seq.lattice.basis_labels.index
+    return [*_lifted(seq, c.base_class), *((index(cid), -m) for cid, m in c.mults.items())]
+
+
+def _term(seq: BlowUpSequence, assignments: dict, name: str):
+    """(index, coefficient) pairs of the class a term name stands for."""
+    lat = seq.lattice
+    index = lat.basis_labels.index
+    if name == "K":
+        return enumerate(lat.canonical.coeffs)
+    if name.startswith("t:"):
+        return _lifted(seq, assignments[name[2:]].base_class)
+    if name.startswith("e:"):
+        seq.center(name[2:])
+        return [(index(name[2:]), 1)]
+    if name.startswith("e':"):
+        children = seq.children(name[3:])
+        return [*_term(seq, {}, "e:" + name[3:]), *((index(child), -1) for child in children)]
+    if name.startswith("b:"):
+        head = lat.basis_labels[: lat.rank - len(seq.centers)]
+        if name[2:] not in head:
+            raise KeyError(f"{name[2:]!r} is not a base basis label")
+        return [(head.index(name[2:]), 1)]
+    if name in assignments:
+        return _proper(seq, assignments[name])
+    raise KeyError(f"cannot resolve term {name!r}")
+
+
+def _class_of(seq: BlowUpSequence, entries) -> DivisorClass:
+    coeffs = [0] * seq.lattice.rank
+    for i, v in entries:
+        coeffs[i] += v
+    return DivisorClass(seq.lattice, tuple(coeffs))
+
+
 def total_transform(seq: BlowUpSequence, c: CurveAssignment) -> DivisorClass:
     """Pullback of the curve's base class: exceptional coefficients all zero."""
     return seq.lift(c.base_class)
@@ -171,11 +202,38 @@ def proper_transform(seq: BlowUpSequence, c: CurveAssignment) -> DivisorClass:
         >>> proper_transform(seq, c).self_intersection()
         -4
     """
-    coeffs = list(seq.lift(c.base_class).coeffs)
-    labels = seq.lattice.basis_labels
-    for cid, m in c.mults.items():
-        coeffs[labels.index(cid)] -= m
-    return DivisorClass(seq.lattice, tuple(coeffs))
+    return _class_of(seq, _proper(seq, c))
+
+
+def combination(seq: BlowUpSequence, assignments, terms) -> DivisorClass:
+    """The class sum(coefficient * class(name)) of (name, coefficient) terms.
+
+    A name is one of:
+
+      "K"          canonical class of the blown-up lattice
+      "<label>"    proper transform of the assignment with that label
+      "t:<label>"  total transform of that assignment
+      "e:<id>"     total exceptional class of a center
+      "e':<id>"    irreducible exceptional curve over a center
+      "b:<name>"   lifted base basis class (e0, or f / s0)
+
+    ``assignments`` maps labels to curve assignments (a list of them is
+    keyed by label).  The terms are summed as exact integers and one class
+    is built from the total, so the int64 guard sees the result only.
+
+    TESTS::
+
+        >>> from .lattice import P2
+        >>> seq = BlowUpSequence(P2(), (Center("p"), Center("q", parent="p")))
+        >>> str(combination(seq, {}, [("b:e0", 2), ("e':p", -1), ("K", 1)]))
+        '-e0+2q'
+    """
+    if isinstance(assignments, (list, tuple)):
+        assignments = {a.label: a for a in assignments}
+    return _class_of(
+        seq,
+        ((i, int(coeff) * v) for name, coeff in terms for i, v in _term(seq, assignments, name)),
+    )
 
 
 @dataclass(frozen=True)
@@ -187,44 +245,12 @@ class IdentityReport:
         return self.holds
 
 
-def _resolve_term(seq: BlowUpSequence, assignments: dict, term) -> DivisorClass:
-    name, coeff = term
-    coeff = int(coeff)
-    lat = seq.lattice
-    if name == "K":
-        cls = lat.canonical
-    elif name.startswith("t:"):
-        cls = total_transform(seq, assignments[name[2:]])
-    elif name.startswith("e:"):
-        cls = seq.exceptional(name[2:])
-    elif name.startswith("e':"):
-        cls = seq.exceptional_proper(name[3:])
-    elif name.startswith("b:"):
-        label = name[2:]
-        if label not in lat.basis_labels[: lat.rank - len(seq.centers)]:
-            raise KeyError(f"{label!r} is not a base basis label")
-        cls = lat.basis_class(label)
-    elif name in assignments:
-        cls = proper_transform(seq, assignments[name])
-    else:
-        raise KeyError(f"cannot resolve term {name!r}")
-    return coeff * cls
-
-
 def verify_class_identity(seq: BlowUpSequence, assignments, lhs, rhs) -> IdentityReport:
     """Check an integer-linear identity between divisor classes.
 
-    ``lhs`` and ``rhs`` are lists of (name, coefficient) terms where a name
-    is one of:
-
-      "K"          canonical class of the blown-up lattice
-      "<label>"    proper transform of the assignment with that label
-      "t:<label>"  total transform of that assignment
-      "e:<id>"     total exceptional class of a center
-      "e':<id>"    irreducible exceptional curve over a center
-      "b:<name>"   lifted base basis class (e0, or f / s0)
-
-    Returns whether lhs - rhs vanishes, plus the residual for diagnostics.
+    ``lhs`` and ``rhs`` are lists of (name, coefficient) terms in the
+    language of ``combination``.  Returns whether lhs - rhs vanishes, plus
+    the residual for diagnostics.
 
     TESTS::
 
@@ -234,14 +260,8 @@ def verify_class_identity(seq: BlowUpSequence, assignments, lhs, rhs) -> Identit
         >>> rep.holds, str(rep.residual)
         (False, '-p')
     """
-    if isinstance(assignments, (list, tuple)):
-        assignments = {a.label: a for a in assignments}
-    acc = seq.lattice.zero()
-    for term in lhs:
-        acc = acc + _resolve_term(seq, assignments, term)
-    for term in rhs:
-        acc = acc - _resolve_term(seq, assignments, term)
-    return IdentityReport(all(v == 0 for v in acc.coeffs), acc)
+    residual = combination(seq, assignments, [*lhs, *((name, -int(c)) for name, c in rhs)])
+    return IdentityReport(not any(residual.coeffs), residual)
 
 
 def configuration_from_classes(entries, overrides=None, triples=()) -> CurveConfiguration:

@@ -32,10 +32,11 @@ comparison.  The claim language:
   halphen-k3           {fibers}                        -> bool
   reduce               {vector}                        -> final shape description
 
-Linear combinations use the (name, coefficient) term language of
-``verify_class_identity``.  An expected value of the form
-``{"affine": {"const": c, "<param>": a, ...}}`` means c + sum a*param;
-inside a dict expected value, ``None`` marks a field as unchecked.
+Linear combinations are lists of (name, coefficient) terms in the term
+language of ``blowup.combination``, which evaluates them.  An expected
+value of the form ``{"affine": {"const": c, "<param>": a, ...}}`` means
+c + sum a*param; inside a dict expected value, ``None`` marks a field as
+unchecked.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import constructions
-from .blowup import _resolve_term
+from .blowup import combination, verify_class_identity
 from .classify import (
     halphen_k3_predicate,
     input_from_json,
@@ -132,19 +133,7 @@ def _matches(actual, expected) -> bool:
     return actual == expected
 
 
-def _terms(raw):
-    return [(str(name), int(coeff)) for name, coeff in raw]
-
-
-def _combination(seq_pair, raw_terms):
-    seq, assignments = seq_pair
-    acc = seq.lattice.zero()
-    for term in _terms(raw_terms):
-        acc = acc + _resolve_term(seq, assignments, term)
-    return acc
-
-
-def _blow_down_chain(seq_pair, contract, track=None, extra_blowups=0):
+def _blow_down_chain(seq, assignments, contract, track=None, extra_blowups=0):
     """Contract a list of curves in order, tracking one extra class.
 
     Each listed combination must have self-intersection -1 at its turn
@@ -153,7 +142,6 @@ def _blow_down_chain(seq_pair, contract, track=None, extra_blowups=0):
     the contractions (minus any further declared blow-ups) and the final
     self-intersection of the tracked class.
     """
-    seq = seq_pair[0]
     done = []
 
     def push_down(cls):
@@ -162,7 +150,7 @@ def _blow_down_chain(seq_pair, contract, track=None, extra_blowups=0):
         return cls
 
     for raw in contract:
-        cur = push_down(_combination(seq_pair, raw))
+        cur = push_down(combination(seq, assignments, raw))
         if cur.self_intersection() != -1:
             raise ValueError(
                 f"chain step {raw!r} has self-intersection "
@@ -172,15 +160,15 @@ def _blow_down_chain(seq_pair, contract, track=None, extra_blowups=0):
     k_squared = seq.k_squared() + len(done) - int(extra_blowups)
     track_square = None
     if track is not None:
-        track_square = push_down(_combination(seq_pair, track)).self_intersection()
+        track_square = push_down(combination(seq, assignments, track)).self_intersection()
     return {"k_squared": k_squared, "track_square": track_square}
 
 
-def _section_pattern(seq_pair, sections, fiber) -> bool:
-    f = _combination(seq_pair, fiber)
+def _section_pattern(seq, assignments, sections, fiber) -> bool:
+    f = combination(seq, assignments, fiber)
     if f.self_intersection() != 0:
         return False
-    classes = [_combination(seq_pair, s) for s in sections]
+    classes = [combination(seq, assignments, s) for s in sections]
     for i, s in enumerate(classes):
         if s.self_intersection() != -1 or pair(s, f) != 1:
             return False
@@ -189,8 +177,8 @@ def _section_pattern(seq_pair, sections, fiber) -> bool:
     return True
 
 
-def _disjoint_minus_ones(seq_pair, curves) -> bool:
-    classes = [_combination(seq_pair, c) for c in curves]
+def _disjoint_minus_ones(seq, assignments, curves) -> bool:
+    classes = [combination(seq, assignments, c) for c in curves]
     return all(c.self_intersection() == -1 for c in classes) and all(
         pair(a, b) == 0
         for i, a in enumerate(classes)
@@ -201,37 +189,30 @@ def _disjoint_minus_ones(seq_pair, curves) -> bool:
 def run_check(check: str, args: dict, sequences: dict, configurations: dict):
     """Evaluate one claim; returns the actual value the claim compares."""
     if check == "class-identity":
-        seq, asg = sequences[args["sequence"]]
-        from .blowup import verify_class_identity
-
-        return bool(
-            verify_class_identity(seq, asg, _terms(args["lhs"]), _terms(args["rhs"]))
-        )
+        return bool(verify_class_identity(*sequences[args["sequence"]], args["lhs"], args["rhs"]))
     if check == "combination-square":
-        return _combination(sequences[args["sequence"]], args["terms"]).self_intersection()
+        return combination(*sequences[args["sequence"]], args["terms"]).self_intersection()
     if check == "combination-genus":
-        return arithmetic_genus(_combination(sequences[args["sequence"]], args["terms"]))
+        return arithmetic_genus(combination(*sequences[args["sequence"]], args["terms"]))
     if check == "all-squares":
-        pair_ = sequences[args["sequence"]]
-        return sorted({_combination(pair_, c).self_intersection() for c in args["curves"]})
+        seq, asg = sequences[args["sequence"]]
+        return sorted({combination(seq, asg, c).self_intersection() for c in args["curves"]})
     if check == "pairing":
-        pair_ = sequences[args["sequence"]]
-        return pair(_combination(pair_, args["a"]), _combination(pair_, args["b"]))
+        seq, asg = sequences[args["sequence"]]
+        return pair(combination(seq, asg, args["a"]), combination(seq, asg, args["b"]))
     if check == "k-squared":
         return sequences[args["sequence"]][0].k_squared()
     if check == "blow-down-chain":
         return _blow_down_chain(
-            sequences[args["sequence"]],
+            *sequences[args["sequence"]],
             args["contract"],
             args.get("track"),
             args.get("extra_blowups", 0),
         )
     if check == "disjoint-minus-ones":
-        return _disjoint_minus_ones(sequences[args["sequence"]], args["curves"])
+        return _disjoint_minus_ones(*sequences[args["sequence"]], args["curves"])
     if check == "section-pattern":
-        return _section_pattern(
-            sequences[args["sequence"]], args["sections"], args["fiber"]
-        )
+        return _section_pattern(*sequences[args["sequence"]], args["sections"], args["fiber"])
     if check == "fiber-type":
         return recognize_fiber(configurations[args["configuration"]])
     if check == "k3-type":

@@ -11,7 +11,9 @@ The standard quadratic transformation based at three of the points sends
 replaced by d - mj - mk, d - mi - mk, d - mi - mj.  On the lattice side
 this is the reflection in the root e0 - ei - ej - ek; the degree-5
 transformation based at six points is likewise the reflection in
-2 e0 - (e1 + ... + e6).
+2 e0 - (e1 + ... + e6).  Both are computed by one formula on the vector:
+reflecting in a e0 - sum_{i in idx} e_i adds a t to d and t to each m_i,
+where t = a d - sum m_i.
 
 ``noether_reduce`` runs the classical greedy descent: while the three
 largest singular multiplicities (simple points do not count, missing ones
@@ -63,12 +65,6 @@ class MultiplicityVector:
     def singular(self) -> "MultiplicityVector":
         """The vector with simple points dropped."""
         return MultiplicityVector(self.d, tuple(m for m in self.mults if m >= 2))
-
-    def mult_at(self, i: int) -> int:
-        """Multiplicity at index i; indices past the end are general points."""
-        if i < 0:
-            raise IndexError("negative index")
-        return self.mults[i] if i < len(self.mults) else 0
 
     def __str__(self) -> str:
         if not self.mults:
@@ -152,27 +148,26 @@ def from_class(c: lat.DivisorClass) -> MultiplicityVector:
     return make_vector(d, (-x for x in tail))
 
 
-def _quadratic_raw(d: int, mults: list[int], i: int, j: int, k: int):
-    """Positional transform; zeros kept in place.  Used for the involution law."""
-    if len({i, j, k}) != 3 or min(i, j, k) < 0:
-        raise ValueError("centers must be three distinct nonnegative indices")
-    size = max(len(mults), i + 1, j + 1, k + 1)
-    ms = list(mults) + [0] * (size - len(mults))
-    mi, mj, mk = ms[i], ms[j], ms[k]
-    d2 = 2 * d - mi - mj - mk
-    ms[i] = d - mj - mk
-    ms[j] = d - mi - mk
-    ms[k] = d - mi - mj
-    if d2 < 0 or min(ms[i], ms[j], ms[k]) < 0:
+def _reflect(v: MultiplicityVector, a: int, idx: list[int]) -> MultiplicityVector:
+    """Reflect (d; m) in the root a e0 - sum_{i in idx} e_i: with
+    t = a d - sum m_i, d += a t and m_i += t.  Indices past the end of the
+    vector are general points of multiplicity zero."""
+    ms = list(v.mults) + [0] * (max(idx) + 1 - len(v.mults))
+    mi = [ms[i] for i in idx]
+    t = a * v.d - sum(mi)
+    for i in idx:
+        ms[i] += t
+    if v.d + a * t < 0 or t + min(mi) < 0:
         raise TransformNotAdmissible(
             f"transformation not admissible for this vector: "
-            f"({d};...) at multiplicities {mi},{mj},{mk}"
+            f"({v.d};...) at multiplicities {','.join(map(str, mi))}"
         )
-    return d2, ms
+    return make_vector(v.d + a * t, ms)
 
 
 def quadratic_transform(v: MultiplicityVector, i: int, j: int, k: int) -> MultiplicityVector:
-    """Quadratic transformation based at points i, j, k (0-based indices).
+    """Quadratic transformation based at points i, j, k (0-based indices):
+    the reflection in the root e0 - e_i - e_j - e_k.
 
     Indices past the end of the vector are general points of multiplicity
     zero.  The result is canonical (sorted, zeros dropped).
@@ -186,15 +181,14 @@ def quadratic_transform(v: MultiplicityVector, i: int, j: int, k: int) -> Multip
         >>> str(quadratic_transform(parse_vector("(6;4,2,2,2,2)"), 0, 1, 2))
         '(4;2,2,2)'
     """
-    d2, ms = _quadratic_raw(v.d, list(v.mults), i, j, k)
-    return make_vector(d2, ms)
+    if len({i, j, k}) != 3 or min(i, j, k) < 0:
+        raise ValueError("centers must be three distinct nonnegative indices")
+    return _reflect(v, 1, [i, j, k])
 
 
 def quintic_transform(v: MultiplicityVector, indices) -> MultiplicityVector:
-    """Degree-5 transformation based at six points, via the lattice reflection.
-
-    The class d e0 - sum mi e_i is reflected in 2 e0 - (e_a + ... + e_f)
-    for the six chosen indices and read back as a vector.
+    """Degree-5 transformation based at six points: the reflection in the
+    root 2 e0 - (e_a + ... + e_f) for the six chosen indices.
 
     TESTS::
 
@@ -206,20 +200,7 @@ def quintic_transform(v: MultiplicityVector, indices) -> MultiplicityVector:
     idx = [int(i) for i in indices]
     if len(idx) != 6 or len(set(idx)) != 6 or min(idx) < 0:
         raise ValueError("need six distinct nonnegative point indices")
-    n = max(len(v.mults), max(idx) + 1)
-    cls = to_class(v, n)
-    root_coeffs = [2] + [0] * n
-    for i in idx:
-        root_coeffs[i + 1] = -1
-    root = cls.lattice.make_class(root_coeffs)
-    image = lat.reflect(cls, root)
-    d2 = image.coeffs[0]
-    if d2 < 0 or any(x > 0 for x in image.coeffs[1:]):
-        raise TransformNotAdmissible(
-            "transformation not admissible for this vector: "
-            f"degree-5 system at {sorted(idx)} gives {image}"
-        )
-    return from_class(image)
+    return _reflect(v, 2, idx)
 
 
 @dataclass(frozen=True)

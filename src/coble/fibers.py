@@ -17,19 +17,11 @@ those same objects.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .config import CurveConfiguration, Edge, Node, divisor_pa
 
 MAX_IN = 12
 MAX_ISTAR = 8
-
-
-@dataclass(frozen=True)
-class FiberType:
-    name: str
-    component_count: int
-    euler_number: int
 
 
 def _nodes(pairs):
@@ -52,8 +44,6 @@ def kodaira_fiber(name: str) -> CurveConfiguration:
     """
     if name == "smooth":
         return CurveConfiguration((Node("C", self_int=0, genus=1),))
-    if name == "I1":
-        return CurveConfiguration((Node("C", self_int=0, genus=1, sing="node"),))
     if name == "II":
         return CurveConfiguration((Node("C", self_int=0, genus=1, sing="cusp"),))
     if name == "III":

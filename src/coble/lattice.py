@@ -20,15 +20,19 @@ the exceptional coordinates.
 Every coefficient is an exact Python integer.  A guard raises OverflowError
 if a value leaves the signed 64-bit range, which the intended inputs never
 approach; it runs where values enter a lattice, at class construction (so
-on every sum, difference and multiple), and on pairing results.  Divisor
-classes are immutable and carry their lattice, so mixing classes from
-different lattices is an error rather than a silent mispairing.
+on every sum, difference and multiple), and on pairing results.  Code that
+sums many terms before building a class (``blowup.combination``) does so in
+Python integers, so the guard sees the finished class, not the partial
+sums.  Divisor classes are immutable and carry their lattice, so mixing
+classes from different lattices is an error rather than a silent
+mispairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from operator import mul
 
 I64_MAX = 2**63 - 1
@@ -332,47 +336,29 @@ def special_h0(l: DivisorClass, shape: CurveShape) -> int:
 
 
 def canonical_orthogonal_basis(lat: IntersectionLattice) -> list[DivisorClass]:
-    """Integer basis of the sublattice K^perp (rank = rank - 1).
+    """Integer basis of the sublattice K^perp (rank = rank - 1), saturated:
+    any lattice vector orthogonal to K is an integer combination of it.
 
-    Computed as the integer kernel of the pairing row (K.b_i)_i, so the
-    basis is saturated: any lattice vector orthogonal to K is an integer
-    combination of the returned classes.
+    On P2 with n >= 3 points it is the simple roots e_i - e_{i+1} and
+    e0 - e1 - e2 - e3.  Otherwise, for n >= 1, each basis vector b other
+    than e1 gives b + (K.b) e1, since K.e1 = -1.  With no points it is
+    empty on P2 and the primitive multiple of (b - 2) f + 2 s0 on F_b.
+
+    TESTS::
+
+        >>> [str(c) for c in canonical_orthogonal_basis(make_lattice(P2(), 2))]
+        ['e0-3e1', '-e1+e2']
+        >>> [str(c) for c in canonical_orthogonal_basis(make_lattice(Hirzebruch(0), 0))]
+        ['-f+s0']
     """
-    row = [pair(lat.canonical, lat.unit(i)) for i in range(lat.rank)]
-    kernel = _integer_kernel_of_row(row)
-    return [lat.make_class(v) for v in kernel]
-
-
-def _integer_kernel_of_row(row: list[int]) -> list[list[int]]:
-    # Column-reduce (g | I) so that g U = (d, 0, ..., 0); kernel = columns 2..n of U.
-    n = len(row)
-    g = list(row)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop(dst, src, q):
-        g[dst] -= q * g[src]
-        for r in range(n):
-            u[r][dst] -= q * u[r][src]
-
-    def colswap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    while True:
-        nonzero = [j for j in range(1, n) if g[j] != 0]
-        if g[0] == 0 and nonzero:
-            colswap(0, nonzero[0])
-            continue
-        if not nonzero:
-            break
-        for j in nonzero:
-            q = g[j] // g[0]
-            colop(j, 0, q)
-        nonzero = [j for j in range(1, n) if g[j] != 0]
-        if nonzero:
-            jmin = min(nonzero, key=lambda j: abs(g[j]))
-            colswap(0, jmin)
-    if all(v == 0 for v in g):
-        return [[u[r][j] for r in range(n)] for j in range(n)]
-    return [[u[r][j] for r in range(n)] for j in range(1, n)]
+    n = lat.n_blowups
+    if isinstance(lat.base, P2) and n >= 3:
+        roots = [[0] * i + [1, -1] + [0] * (n - i - 1) for i in range(1, n)]
+        return [lat.make_class(r) for r in roots + [[1, -1, -1, -1] + [0] * (n - 3)]]
+    if n >= 1:
+        k, e1 = lat.canonical, lat.unit(lat.rank - n)
+        return [b + pair(k, b) * e1 for b in map(lat.unit, range(lat.rank)) if b != e1]
+    if isinstance(lat.base, P2):
+        return []
+    g = gcd(lat.base.b - 2, 2)
+    return [lat.make_class(((lat.base.b - 2) // g, 2 // g))]

@@ -1,10 +1,14 @@
 """Blow-up bookkeeping: transforms, class identities, graph extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coble.blowup import (
     BlowUpSequence,
     Center,
+    CurveAssignment,
+    combination,
     configuration_from_classes,
     make_assignment,
     proper_transform,
@@ -12,6 +16,7 @@ from coble.blowup import (
     verify_class_identity,
 )
 from coble.lattice import (
+    I64_MAX,
     P2,
     Hirzebruch,
     LatticeMismatch,
@@ -139,6 +144,113 @@ def test_identity_term_errors():
     # exceptional labels are not base basis labels
     with pytest.raises(KeyError):
         verify_class_identity(seq, {}, [("b:p", 1)], [])
+
+
+def folded_terms(seq, assignments, terms):
+    """Reference evaluator: resolve each term to a full class and fold with +,
+    from lattice basis classes only."""
+    lat = seq.lattice
+    head = lat.rank - len(seq.centers)
+    acc = lat.zero()
+    for name, coeff in terms:
+        if name == "K":
+            cls = lat.canonical
+        elif name.startswith("t:") or name in assignments:
+            c = assignments[name[2:] if name.startswith("t:") else name]
+            if c.base_class.lattice != seq.base_lattice:
+                raise LatticeMismatch("wrong base lattice")
+            cls = lat.make_class(c.base_class.coeffs + (0,) * len(seq.centers))
+            if not name.startswith("t:"):
+                for cid, m in c.mults.items():
+                    cls = cls - m * lat.basis_class(cid)
+        elif name.startswith("e:"):
+            seq.center(name[2:])
+            cls = lat.basis_class(name[2:])
+        elif name.startswith("e':"):
+            seq.center(name[3:])
+            cls = lat.basis_class(name[3:])
+            for child in seq.children(name[3:]):
+                cls = cls - lat.basis_class(child)
+        elif name.startswith("b:"):
+            if name[2:] not in lat.basis_labels[:head]:
+                raise KeyError(name)
+            cls = lat.basis_class(name[2:])
+        else:
+            raise KeyError(name)
+        acc = acc + int(coeff) * cls
+    return acc
+
+
+@st.composite
+def sequences_and_terms(draw):
+    """A sequence with infinitely near centers, two curves on it, and two
+    term lists drawing on all six term kinds."""
+    base = draw(st.sampled_from([P2(), Hirzebruch(0), Hirzebruch(1), Hirzebruch(3)]))
+    centers = []
+    for i in range(draw(st.integers(1, 8))):
+        parent = draw(st.sampled_from([None] + [c.id for c in centers]))
+        centers.append(Center(f"p{i}", parent=parent))
+    seq = BlowUpSequence(base, tuple(centers))
+    head = seq.base_lattice.rank
+    assignments = {}
+    for label in ("A", "B"):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=head, max_size=head))
+        mults = {}
+        for c in centers:
+            cap = 4 if c.parent is None else mults.get(c.parent, 0)
+            mults[c.id] = draw(st.integers(0, cap))
+        base_class = seq.base_lattice.make_class(coeffs)
+        assignments[label] = make_assignment(seq, label, base_class, mults)
+    names = (
+        ["K", "A", "B", "t:A", "t:B"]
+        + [f"e:{c.id}" for c in centers]
+        + [f"e':{c.id}" for c in centers]
+        + [f"b:{label}" for label in seq.lattice.basis_labels[:head]]
+    )
+    terms = st.lists(st.tuples(st.sampled_from(names), st.integers(-10**6, 10**6)), max_size=10)
+    return seq, assignments, draw(terms), draw(terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sequences_and_terms())
+def test_combination_matches_the_folded_terms(case):
+    seq, assignments, lhs, rhs = case
+    assert combination(seq, assignments, lhs) == folded_terms(seq, assignments, lhs)
+    assert combination(seq, list(assignments.values()), rhs) == folded_terms(seq, assignments, rhs)
+    rep = verify_class_identity(seq, assignments, lhs, rhs)
+    residual = folded_terms(seq, assignments, lhs) - folded_terms(seq, assignments, rhs)
+    assert rep.residual == residual
+    assert rep.holds == (residual == seq.lattice.zero())
+    assert verify_class_identity(seq, assignments, lhs, lhs).holds
+
+
+def test_combination_term_errors():
+    seq = BlowUpSequence(P2(), (Center("p"), Center("q", parent="p")))
+    for name in ("nope", "e:zz", "e':zz", "b:p", "t:nope"):
+        with pytest.raises(KeyError):
+            combination(seq, {}, [(name, 1)])
+    # a base class from another lattice, under either transform
+    for wrong in (make_lattice(P2(), 1).make_class((1, 0)), make_lattice(Hirzebruch(0), 0).zero()):
+        c = CurveAssignment("C", wrong, {})
+        for name in ("C", "t:C"):
+            with pytest.raises(LatticeMismatch):
+                combination(seq, {"C": c}, [(name, 1)])
+            with pytest.raises(LatticeMismatch):
+                verify_class_identity(seq, {"C": c}, [(name, 1)], [])
+
+
+def test_combination_guards_the_finished_class_only():
+    seq = plane_seq("p")
+    big = 2**62
+    # partial sums leave int64, the total fits: the exact class
+    assert combination(seq, {}, [("b:e0", big), ("b:e0", big), ("b:e0", -big)]).coeffs == (big, 0)
+    assert combination(seq, {}, [("e:p", I64_MAX), ("e:p", 1), ("e:p", -1)]).coeffs == (0, I64_MAX)
+    assert verify_class_identity(seq, {}, [("b:e0", big)] * 3, [("b:e0", big)] * 3).holds
+    # a total past int64 still raises
+    with pytest.raises(OverflowError):
+        combination(seq, {}, [("b:e0", big), ("b:e0", big)])
+    with pytest.raises(OverflowError):
+        verify_class_identity(seq, {}, [("e:p", I64_MAX)], [("e:p", -1)])
 
 
 def test_configuration_from_classes():

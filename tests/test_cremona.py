@@ -1,6 +1,8 @@
 """Degree reduction of plane multiplicity vectors by plane transformations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coble.cremona import (
     MultiplicityVector,
@@ -15,6 +17,7 @@ from coble.cremona import (
     quintic_transform,
     to_class,
 )
+from coble.lattice import reflect
 
 
 def test_parse_and_canonical_form():
@@ -82,6 +85,43 @@ def test_quintic_transform_oracles():
         quintic_transform(fixed, [0, 0, 1, 2, 3, 4])
     with pytest.raises(TransformNotAdmissible):
         quintic_transform(parse_vector("(2;1,1,1,1,1,1)"), range(6))
+
+
+def reflected(v, a, idx):
+    """Oracle: the class of v reflected in a e0 - sum_{i in idx} e_i and read
+    back as a vector; ValueError when the image is not a curve vector."""
+    cls = to_class(v, max(len(v.mults), max(idx) + 1))
+    root = cls.lattice.make_class([a] + [-int(i in idx) for i in range(cls.lattice.rank - 1)])
+    return from_class(reflect(cls, root))
+
+
+@pytest.mark.parametrize(
+    "a, transform",
+    [(1, lambda v, idx: quadratic_transform(v, *idx)), (2, quintic_transform)],
+    ids=["quadratic", "quintic"],
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 30), st.lists(st.integers(0, 16), max_size=9), st.data())
+def test_transform_is_the_lattice_reflection(a, transform, d, mults, data):
+    # a e0 - sum e_i is a (-2)-root on a^2 + 2 points
+    idx = data.draw(st.lists(st.integers(0, 11), min_size=a * a + 2, max_size=a * a + 2, unique=True))
+    v = make_vector(d, mults)
+    try:
+        expected = reflected(v, a, idx)
+    except ValueError:
+        with pytest.raises(TransformNotAdmissible):
+            transform(v, idx)
+    else:
+        assert transform(v, idx) == expected
+
+
+def test_quadratic_refusal_text():
+    # the CLI prints this text when a greedy step is refused
+    with pytest.raises(TransformNotAdmissible) as exc:
+        quadratic_transform(parse_vector("(5;3,3,1,1,1)"), 0, 1, 5)
+    assert str(exc.value) == (
+        "transformation not admissible for this vector: (5;...) at multiplicities 3,3,0"
+    )
 
 
 def test_reduce_traces():

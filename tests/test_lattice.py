@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,40 @@ def test_canonical_orthogonal_basis_spans_k_perp():
                     rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
             rank += 1
         assert rank == len(basis)
+
+
+def _determinant(rows) -> int:
+    """Exact determinant of a square integer matrix by Gaussian elimination."""
+    m = [[Fraction(c) for c in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return int(det)
+
+
+def test_canonical_orthogonal_basis_is_saturated():
+    # rank - 1 vectors in K^perp whose maximal minors have gcd 1 span a
+    # saturated sublattice of rank rank(K^perp), hence all of K^perp
+    for base in [P2()] + [Hirzebruch(b) for b in range(6)]:
+        for n in range(11):
+            lat = make_lattice(base, n)
+            basis = canonical_orthogonal_basis(lat)
+            assert len(basis) == lat.rank - 1
+            assert all(pair(v, lat.canonical) == 0 for v in basis)
+            rows = [v.coeffs for v in basis]
+            minors = [
+                _determinant([r[:j] + r[j + 1:] for r in rows]) for j in range(lat.rank)
+            ]
+            assert gcd(*minors) == 1, (base, n, minors)
 
 
 def test_special_h0_shapes():
