@@ -46,19 +46,28 @@ class BlowUpSequence:
     base: Base
     centers: tuple[Center, ...]
     _lattice: IntersectionLattice = field(init=False, repr=False, compare=False)
+    # center id -> its index, and curve label -> indices of the centers
+    # declared on that curve
+    _position: dict = field(init=False, repr=False, compare=False)
+    _declared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for c in self.centers:
-            if c.id in seen:
+        position: dict[str, int] = {}
+        declared: dict[str, list[int]] = {}
+        for i, c in enumerate(self.centers):
+            if c.id in position:
                 raise ValueError(f"duplicate center id {c.id!r}")
-            if c.parent is not None and c.parent not in seen:
+            if c.parent is not None and c.parent not in position:
                 raise ValueError(
                     f"center {c.id!r}: parent {c.parent!r} must be an earlier center"
                 )
-            seen.add(c.id)
+            position[c.id] = i
+            for label in c.on_curves:
+                declared.setdefault(label, []).append(i)
         lat = make_lattice(self.base, len(self.centers), tuple(c.id for c in self.centers))
         object.__setattr__(self, "_lattice", lat)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_declared", declared)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -83,10 +92,9 @@ class BlowUpSequence:
         return self._lattice.k_squared
 
     def center(self, cid: str) -> Center:
-        for c in self.centers:
-            if c.id == cid:
-                return c
-        raise KeyError(f"unknown center {cid!r}")
+        if cid not in self._position:
+            raise KeyError(f"unknown center {cid!r}")
+        return self.centers[self._position[cid]]
 
     def children(self, cid: str) -> tuple[str, ...]:
         return tuple(c.id for c in self.centers if c.parent == cid)
@@ -118,15 +126,20 @@ def make_assignment(seq: BlowUpSequence, label: str, base_class: DivisorClass, m
     infinitely near another never carries a larger multiplicity than its
     parent, and that centers declared to lie on this curve have
     multiplicity >= 1.
+
+    Only centers with a multiplicity or declared on the curve can fail a
+    check, so only those are visited, in sequence order: the cost is linear
+    in the assignment, not in the sequence.
     """
     mults = {k: int(v) for k, v in (mults or {}).items()}
-    known = {c.id for c in seq.centers}
+    position = seq._position
     for cid, m in mults.items():
-        if cid not in known:
+        if cid not in position:
             raise ValueError(f"curve {label!r}: unknown center {cid!r}")
         if m < 0:
             raise ValueError(f"curve {label!r}: negative multiplicity at {cid!r}")
-    for c in seq.centers:
+    visit = {position[cid] for cid in mults}.union(seq._declared.get(label, ()))
+    for c in map(seq.centers.__getitem__, sorted(visit)):
         m_here = mults.get(c.id, 0)
         if c.parent is not None and m_here > mults.get(c.parent, 0):
             raise ValueError(

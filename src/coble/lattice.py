@@ -20,7 +20,9 @@ the exceptional coordinates.
 Every coefficient is an exact Python integer.  A guard raises OverflowError
 if a value leaves the signed 64-bit range, which the intended inputs never
 approach; it runs where values enter a lattice, at class construction (so
-on every sum, difference and multiple), and on pairing results.  Code that
+on every sum, difference and multiple), and on pairing results.  Classes
+made from a whole int64 matrix (``_classes_of_int64_matrix``) are in range
+by the matrix's dtype and skip the per-coefficient guard.  Code that
 sums many terms before building a class (``blowup.combination``) does so in
 Python integers, so the guard sees the finished class, not the partial
 sums.  Divisor classes are immutable and carry their lattice, so mixing
@@ -46,6 +48,30 @@ def _check_i64(value: int) -> int:
     if value > I64_MAX or value < -I64_MAX - 1:
         raise OverflowError(f"value {value} leaves the signed 64-bit range")
     return value
+
+
+def _classes_of_int64_matrix(lattice: "IntersectionLattice", a) -> list["DivisorClass"]:
+    """One class per row of a 2-D int64 numpy array, without ``__post_init__``.
+
+    The caller has already checked the whole int64 matrix: every entry of
+    it lies in the range ``_check_i64`` enforces, so the per-coefficient
+    guard would find nothing, and only the dtype and the width are tested
+    here, once.  ``negcurves`` is the only caller; classes that users build
+    go through ``DivisorClass`` and keep the guard.  Rows are converted a
+    block at a time, so no list of Python lists for the whole matrix is
+    held beside the classes.
+    """
+    if a.dtype != "int64" or a.ndim != 2 or a.shape[1] != lattice.rank:
+        raise ValueError(f"expected a 2-D int64 matrix with {lattice.rank} columns")
+    new, set_field = object.__new__, object.__setattr__
+    classes = []
+    for lo in range(0, len(a), 4096):
+        for coeffs in map(tuple, a[lo : lo + 4096].tolist()):
+            c = new(DivisorClass)
+            set_field(c, "lattice", lattice)
+            set_field(c, "coeffs", coeffs)
+            classes.append(c)
+    return classes
 
 
 @dataclass(frozen=True)

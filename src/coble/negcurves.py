@@ -8,13 +8,19 @@ C = d e0 - sum a_i e_i, the two conditions become the Diophantine pair
 
 which prunes the coefficient box hard enough for exhaustive search at desk
 scale.  Enumeration is by degree; within a degree, descending coefficient
-multisets are found recursively and then expanded over the point indices.
-The expansion emits each distinct arrangement of a multiset exactly once,
-so its work is proportional to the number of classes returned.  That
-number is the sum of the multisets' multinomial coefficients; it is
-counted before anything is expanded, and a search that would return more
-than ``MAX_CLASSES`` classes is refused up front.  Both defining equations
-are re-checked on the whole result in one exact int64 pass.
+multisets are found recursively.  The number of classes is the sum of the
+multisets' multinomial coefficients; it is counted before anything is
+expanded, and a search that would return more than ``MAX_CLASSES`` classes
+is refused up front.
+
+The result is then built as one int64 matrix, one row per class.  Each
+multiset is expanded over the point indices through a table of its
+distinct arrangements (``_arrangements``), made once per pattern of value
+counts and shared by the multisets with that pattern, so every arrangement
+is emitted once and the work is proportional to the output.  The matrix is
+sorted once by ``np.lexsort`` (``_canonical_order``), both defining
+equations are re-checked on all its rows in one exact int64 pass, and the
+classes are made from it in one pass (``lattice._classes_of_int64_matrix``).
 
 Effectivity is NOT decided here: output classes are numerical candidates.
 The default "effective-shape" filter keeps d >= 1 classes with all a_i >= 0
@@ -31,13 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DivisorClass, Hirzebruch, IntersectionLattice, P2, make_lattice
+from .lattice import DivisorClass, IntersectionLattice, P2, _classes_of_int64_matrix, make_lattice
 
 MAX_RANK = 15
 MAX_CAP = 20
 # Largest result enumerate_negative_classes builds.  A class costs about
-# 20 us and 1.3 kB of peak memory (2-vCPU x86-64, Python 3.11), so a search
-# at the budget takes about 2 s and 130 MB.
+# 4-5 us and 0.45 kB of peak memory (2-vCPU x86-64, Python 3.11, numpy 2.4):
+# P2 with 13 points at cap 4 gives 91,897 classes in 0.35-0.5 s, with peak
+# RSS 72 MB against 31 MB before the search.  So a search at the budget
+# takes about 0.5 s and 45 MB.
 MAX_CLASSES = 100_000
 
 
@@ -57,28 +65,33 @@ def _descending_tuples(total: int, total_sq: int, slots: int, max_part: int):
             yield (first,) + tail
 
 
-def _distinct_arrangements(values):
-    """Each distinct ordering of a multiset, exactly once.
+def _arrangements(counts) -> np.ndarray:
+    """Each distinct arrangement of a multiset, once, as a table of group labels.
 
-    The distinct values take their slots in turn, rarest first: every choice
-    of slots for one value among those still free, then the next value, so
-    no ordering is produced twice and the most frequent value fills the
-    remaining slots in a single way.
+    ``counts`` holds the multiplicities of the multiset's distinct values,
+    rarest first.  Row r of the result puts the g-th value at slot s when
+    entry (r, s) is g.  Every row starts filled with the last, most frequent
+    value; the other values take their slots in turn, rarest first, in every
+    combination of the slots still free.  The rows so far are repeated once
+    per combination and the free-slot table shrinks at each step, so no
+    arrangement is produced twice and the work is proportional to the
+    output.
     """
-    groups = sorted(Counter(values).items(), key=lambda vc: vc[1])
-    slots = [None] * sum(c for _, c in groups)
-
-    def place(g, free):
-        if g == len(groups):
-            yield tuple(slots)
-            return
-        value, count = groups[g]
-        for chosen in itertools.combinations(free, count):
-            for i in chosen:
-                slots[i] = value
-            yield from place(g + 1, [i for i in free if i not in chosen])
-
-    return place(0, range(len(slots)))
+    k = sum(counts)
+    labels = np.full((1, k), len(counts) - 1, dtype=np.int8)
+    free = np.arange(k)[None, :]
+    for g, count in enumerate(counts[:-1]):
+        width = free.shape[1]
+        chosen = np.array(list(itertools.combinations(range(width), count)))
+        rows = len(labels) * len(chosen)
+        labels = np.repeat(labels, len(chosen), axis=0)
+        np.put(labels, free[:, chosen].reshape(rows, count) + k * np.arange(rows)[:, None], g)
+        if g + 2 < len(counts):
+            # complements of the combinations, in order: the combinations of
+            # the other size, in reverse lexicographic order
+            rest = np.array(list(itertools.combinations(range(width), width - count))[::-1])
+            free = free[:, rest].reshape(rows, width - count)
+    return labels
 
 
 def _arrangement_count(values) -> int:
@@ -110,35 +123,79 @@ def enumerate_negative_classes(
         >>> len(enumerate_negative_classes(make_lattice(P2(), 1), 1, 5))
         1
     """
+    return _classes_of_int64_matrix(lattice, _negative_class_matrix(lattice, n, degree_cap, shape))
+
+
+def _negative_class_matrix(lattice, n, cap, shape) -> np.ndarray:
+    """The classes of ``enumerate_negative_classes`` as rows of one int64 matrix.
+
+    The arguments and the class budget are checked first.  Multisets that
+    share a pattern of value counts share one label table from
+    ``_arrangements``; each block of them becomes its rows in one
+    fancy-indexing step.  The rows are then put in canonical order and
+    checked against both defining equations.
+    """
     if n < 1:
         raise ValueError("self-intersection parameter n must be >= 1")
-    if degree_cap < 0:
+    if cap < 0:
         raise ValueError("degree cap must be >= 0")
     if shape not in ("effective-shape", "lattice-only"):
         raise ValueError(f"unknown shape flag {shape!r}")
-    if lattice.rank > MAX_RANK or degree_cap > MAX_CAP:
+    if lattice.rank > MAX_RANK or cap > MAX_CAP:
         raise ValueError(
             f"search budget exceeded: rank <= {MAX_RANK} and cap <= {MAX_CAP}"
         )
     head = lattice.rank - lattice.n_blowups
-    blocks, total = [], 0
-    for h, m in _multisets(lattice, n, degree_cap, shape):
+    blocks, total = {}, 0
+    for h, m in _multisets(lattice, n, cap, shape):
         total += _arrangement_count(m)
         if total > MAX_CLASSES:
             raise ValueError(
                 f"class budget exceeded: more than MAX_CLASSES = {MAX_CLASSES:,} "
                 f"classes ({total:,} counted before stopping)"
             )
-        blocks.append((h, m))
-    rows = [h + arr for h, m in blocks for arr in _distinct_arrangements(m)]
+        groups = sorted(Counter(m).items(), key=lambda vc: vc[1])
+        heads, values = blocks.setdefault(tuple(c for _, c in groups), ([], []))
+        heads.append(h)
+        values.append([v for v, _ in groups])
+    a = np.empty((total, lattice.rank), dtype=np.int64)
+    row = 0
+    for counts, (heads, values) in blocks.items():
+        labels = _arrangements(counts)
+        end = row + len(heads) * len(labels)
+        a[row:end, :head] = np.repeat(np.array(heads, dtype=np.int64), len(labels), axis=0)
+        a[row:end, head:] = np.array(values, dtype=np.int64)[:, labels].reshape(end - row, lattice.n_blowups)
+        row = end
+    a = a[_canonical_order(a, head)]
+    _assert_negative_classes(a, lattice, n)
+    return a
 
-    def canonical_key(row):
-        tail = row[head:]
-        return (row[:head], tuple((i, -v) for i, v in enumerate(tail) if v))
 
-    rows.sort(key=canonical_key)
-    _assert_negative_classes(rows, lattice, n)
-    return [DivisorClass(lattice, row) for row in rows]
+def _canonical_order(a: np.ndarray, head: int) -> np.ndarray:
+    """Row order by head coefficients, then by the (index, -value) list of
+    the nonzero exceptional coefficients, compared lexicographically.
+
+    ``np.lexsort`` sorts on a dense code per exceptional coordinate: a
+    nonzero v gives -v, a zero before a later nonzero gives +big and a
+    trailing zero gives -big, with big above every |v|.  Where two rows'
+    lists first differ at indices i1 < i2, the first row has a finite code
+    at i1 and the second +big; at equal indices the codes compare -v1 with
+    -v2; and a list that ends first has -big where the other has +big or a
+    finite code.  So the dense codes order the rows as the lists do.
+
+    The keys are one contiguous array, int16 whenever the values fit: numpy
+    sorts 16-bit keys stably by radix, about twice as fast as int64 here.
+    """
+    big = int(np.abs(a).max(initial=0)) + 1
+    dtype = np.int16 if big <= np.iinfo(np.int16).max else np.int64
+    tail = a[:, head:].astype(dtype)
+    nonzero = tail != 0
+    later = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    keys = np.empty(a.shape[::-1], dtype=dtype)
+    # np.lexsort takes its primary key last: head column 0
+    keys[:-head] = np.where(nonzero, -tail, np.where(later, big, -big)).T[::-1]
+    keys[-head:] = a[:, head - 1 :: -1].T
+    return np.lexsort(keys)
 
 
 def _multisets(lattice, n, cap, shape):
@@ -170,19 +227,18 @@ def _multisets(lattice, n, cap, shape):
                 yield h, tuple(-a for a in desc)
 
 
-def _assert_negative_classes(rows, lattice, n):
-    """C^2 = -n and C.K = n - 2 for every row, in one int64 pass.
+def _assert_negative_classes(a: np.ndarray, lattice, n):
+    """C^2 = -n and C.K = n - 2 for every row of an int64 matrix, in one pass.
 
-    The rows are coefficient tuples within the cap, whose squares sum to at
-    most a few thousand, so no product or sum comes near the int64 range.
+    The rows are coefficients within the cap, whose squares sum to at most
+    a few thousand, so no product or sum comes near the int64 range.
     """
-    a = np.array(rows, dtype=np.int64).reshape(len(rows), lattice.rank)
     gram = np.array(lattice.gram, dtype=np.int64)
     canonical = np.array(lattice.canonical.coeffs, dtype=np.int64)
     a_gram = a @ gram
     bad = np.flatnonzero(((a_gram * a).sum(axis=1) != -n) | (a_gram @ canonical != n - 2))
     if bad.size:
-        raise AssertionError(f"class {rows[bad[0]]} is not a numerical (-{n})-class")
+        raise AssertionError(f"class {tuple(a[bad[0]].tolist())} is not a numerical (-{n})-class")
 
 
 def _exceptional_shape(arr) -> bool:
@@ -226,11 +282,12 @@ def exceptional_pairing_growth(caps, n_points: int = 9) -> list[PairingGrowthRow
     For each cap (ascending), the number of numerical (-1)-classes with
     degree up to the cap and their largest pairing against the fixed
     exceptional class of the last blown-up point.  The classes are
-    enumerated once, at the largest cap; they come out sorted by degree, so
-    each row reads a prefix of that list.  For every ordered pair (A, B) of
-    those classes the difference identity (A - B)^2 = -2 - 2 A.B is
-    asserted by direct evaluation; every pair at a smaller cap is among
-    them.
+    enumerated once, at the largest cap, as the int64 matrix behind
+    ``enumerate_negative_classes`` (no class object is built); its rows are
+    sorted by degree, so each row of the table reads a prefix of them.
+    For every ordered pair (A, B) of those classes the difference identity
+    (A - B)^2 = -2 - 2 A.B is asserted by direct evaluation; every pair at
+    a smaller cap is among them.
 
     The max column never decreases, and over caps 1..8 it grows: there is
     no finite bound on how positively two (-1)-classes can meet once the
@@ -250,13 +307,12 @@ def exceptional_pairing_growth(caps, n_points: int = 9) -> list[PairingGrowthRow
     if caps[0] < 0:
         raise ValueError("degree cap must be >= 0")
     lattice = make_lattice(P2(), n_points)
-    classes = enumerate_negative_classes(lattice, 1, caps[-1])
-    if not classes:
+    a = _negative_class_matrix(lattice, 1, caps[-1], "effective-shape")
+    if not len(a):
         raise ValueError(f"no (-1)-classes on {n_points} points up to degree {caps[-1]}")
     e_last = lattice.basis_class(lattice.basis_labels[-1])
     sign = np.array([1] + [-1] * n_points, dtype=np.int64)
     e_vec = np.array(e_last.coeffs, dtype=np.int64)
-    a = np.array([c.coeffs for c in classes], dtype=np.int64)
     _assert_difference_identity(a, sign)
     best = np.maximum.accumulate((a * sign) @ e_vec)
     counts = np.searchsorted(a[:, 0], caps, side="right")

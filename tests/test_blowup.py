@@ -92,6 +92,41 @@ def test_assignment_validation():
     assert ok.mults == {"p": 2, "q": 1}
 
 
+def test_assignment_errors_come_in_sequence_order():
+    # q exceeds its parent p, r is declared on C with multiplicity 0, and s
+    # exceeds its parent r; the first center in the sequence is reported,
+    # whatever the order of the multiplicities.  The five plain centers put
+    # r and s at indices 7 and 8, which a set of indices yields as 8, 7.
+    seq = BlowUpSequence(P2(), (
+        Center("p", on_curves=("C",)), Center("q", parent="p"),
+        *(Center(f"f{i}") for i in range(5)),
+        Center("r", on_curves=("C", "D")), Center("s", parent="r"), Center("t"),
+    ))
+    line = seq.base_lattice.make_class((1,))
+
+    def error(mults, label="C"):
+        with pytest.raises(ValueError) as info:
+            make_assignment(seq, label, line, mults)
+        return str(info.value)
+
+    assert error({"s": 1, "q": 2, "p": 1}) == (
+        "curve 'C': multiplicity 2 at 'q' exceeds parent 'p''s multiplicity"
+    )
+    assert error({"s": 1, "q": 1, "p": 1}) == (
+        "curve 'C': center 'r' is declared on this curve but the multiplicity there is 0"
+    )
+    assert error({"t": 1}) == (
+        "curve 'C': center 'p' is declared on this curve but the multiplicity there is 0"
+    )
+    assert error({"t": 1, "s": 1}, "D") == (
+        "curve 'D': center 'r' is declared on this curve but the multiplicity there is 0"
+    )
+    assert error({"s": 2, "r": 1}, "D") == (
+        "curve 'D': multiplicity 2 at 's' exceeds parent 'r''s multiplicity"
+    )
+    assert make_assignment(seq, "D", line, {"r": 1, "s": 1}).mults == {"r": 1, "s": 1}
+
+
 def test_transforms():
     seq = plane_seq(*[f"p{i}" for i in range(1, 6)])
     conic = seq.base_lattice.make_class((2,))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coble import negcurves
-from coble.lattice import P2, Hirzebruch, make_lattice
+from coble.lattice import I64_MAX, P2, Hirzebruch, _classes_of_int64_matrix, make_lattice
 from coble.negcurves import (
     MAX_CLASSES,
     _arrangement_count,
+    _arrangements,
     _assert_difference_identity,
-    _distinct_arrangements,
+    _canonical_order,
     basic_surface_check,
     enumerate_negative_classes,
     exceptional_pairing_growth,
@@ -180,12 +182,59 @@ def _oracle_classes(lattice, n, cap, shape):
     return out
 
 
-@settings(max_examples=200, deadline=None)
+def _arranged(values):
+    """Rows of the label table for ``values``, read back as value tuples."""
+    groups = sorted(Counter(values).items(), key=lambda vc: vc[1])
+    labels = _arrangements(tuple(c for _, c in groups))
+    return [tuple(r) for r in np.array([v for v, _ in groups], dtype=np.int64)[labels].tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(-3, 4), max_size=8))
 def test_distinct_arrangements_match_permutation_dedup(values):
-    got = list(_distinct_arrangements(values))
+    got = _arranged(values)
     assert len(got) == len(set(got)) == _arrangement_count(values)
     assert set(got) == set(_oracle_arrangements(values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 2),
+    # zeros about half the time, so rows have inner and trailing zeros
+    st.lists(st.lists(st.sampled_from([0, 0, 0, 0, -3, -1, 1, 2]), min_size=7, max_size=7),
+             min_size=1, max_size=40),
+    st.lists(st.integers(0, 39), max_size=8),
+    st.sampled_from([1, 40_000]),  # past int16, the keys fall back to int64
+)
+def test_lexsort_order_matches_canonical_key(head, rows, repeats, scale):
+    rows = [[scale * v for v in r] for r in rows + [rows[i % len(rows)] for i in repeats]]
+    a = np.array(rows, dtype=np.int64)
+
+    def canonical_key(row):  # the sort key before the rows became a matrix
+        return (row[:head], tuple((i, -v) for i, v in enumerate(row[head:]) if v))
+
+    assert a[_canonical_order(a, head)].tolist() == sorted(rows, key=canonical_key)
+
+
+def test_matrix_classes_equal_checked_classes():
+    lat = make_lattice(Hirzebruch(1), 4)
+    a = np.array([[0, 1, -1, 0, 0, 0], [2, 3, 0, -1, -2, 1], [0, 0, 0, 0, 0, 0],
+                  [I64_MAX, -I64_MAX - 1, 0, 0, 0, 1]], dtype=np.int64)
+    built = _classes_of_int64_matrix(lat, a)
+    checked = [lat.make_class(row) for row in a.tolist()]
+    assert built == checked
+    assert [hash(c) for c in built] == [hash(c) for c in checked]
+    assert all(type(x) is int for c in built for x in c.coeffs)
+    assert _classes_of_int64_matrix(lat, a[:0]) == []
+    with pytest.raises(ValueError, match="int64 matrix with 6 columns"):
+        _classes_of_int64_matrix(lat, a.astype(np.int32))
+    with pytest.raises(ValueError, match="int64 matrix with 6 columns"):
+        _classes_of_int64_matrix(lat, a[:, :5])
+    # classes that users build keep the per-coefficient guard
+    with pytest.raises(OverflowError, match="signed 64-bit range"):
+        lat.make_class([I64_MAX + 1, 0, 0, 0, 0, 0])
+    with pytest.raises(OverflowError, match="signed 64-bit range"):
+        lat.make_class([0, 0, 0, 0, 0, -I64_MAX - 2])
 
 
 @pytest.mark.parametrize(
