@@ -42,10 +42,10 @@ from .lattice import DivisorClass, IntersectionLattice, P2, _classes_of_int64_ma
 MAX_RANK = 15
 MAX_CAP = 20
 # Largest result enumerate_negative_classes builds.  A class costs about
-# 4-5 us and 0.45 kB of peak memory (2-vCPU x86-64, Python 3.11, numpy 2.4):
-# P2 with 13 points at cap 4 gives 91,897 classes in 0.35-0.5 s, with peak
-# RSS 72 MB against 31 MB before the search.  So a search at the budget
-# takes about 0.5 s and 45 MB.
+# 3-5 us and 0.4 kB of peak memory (2-vCPU x86-64, Python 3.11, numpy 2.4):
+# P2 with 13 points at cap 4 gives 91,897 classes in 0.3-0.45 s, with peak
+# RSS 66 MB against 31 MB before the search.  So a search at the budget
+# takes about 0.5 s and 40 MB.
 MAX_CLASSES = 100_000
 
 
@@ -182,19 +182,19 @@ def _canonical_order(a: np.ndarray, head: int) -> np.ndarray:
     at i1 and the second +big; at equal indices the codes compare -v1 with
     -v2; and a list that ends first has -big where the other has +big or a
     finite code.  So the dense codes order the rows as the lists do.
-
-    The keys are one contiguous array, int16 whenever the values fit: numpy
-    sorts 16-bit keys stably by radix, about twice as fast as int64 here.
     """
-    big = int(np.abs(a).max(initial=0)) + 1
-    dtype = np.int16 if big <= np.iinfo(np.int16).max else np.int64
-    tail = a[:, head:].astype(dtype)
-    nonzero = tail != 0
-    later = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    keys = np.empty(a.shape[::-1], dtype=dtype)
-    # np.lexsort takes its primary key last: head column 0
-    keys[:-head] = np.where(nonzero, -tail, np.where(later, big, -big)).T[::-1]
+    big = max(int(a.max(initial=0)), -int(a.min(initial=0))) + 1
+    # np.lexsort takes its primary key last, so the columns go in reverse:
+    # the last exceptional coordinate first and head column 0 last
+    keys = np.empty(a.shape[::-1], dtype=np.int64)
     keys[-head:] = a[:, head - 1 :: -1].T
+    codes, tail = keys[:-head], a[:, head:].T[::-1]
+    np.negative(tail, out=codes)
+    zero = tail == 0
+    # in reverse order, a nonzero at or after a coordinate comes at or before it
+    later = np.logical_or.accumulate(~zero, axis=0)
+    np.copyto(codes, big, where=zero & later)
+    np.copyto(codes, -big, where=~later)
     return np.lexsort(keys)
 
 

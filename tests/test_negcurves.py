@@ -204,10 +204,9 @@ def test_distinct_arrangements_match_permutation_dedup(values):
     st.lists(st.lists(st.sampled_from([0, 0, 0, 0, -3, -1, 1, 2]), min_size=7, max_size=7),
              min_size=1, max_size=40),
     st.lists(st.integers(0, 39), max_size=8),
-    st.sampled_from([1, 40_000]),  # past int16, the keys fall back to int64
 )
-def test_lexsort_order_matches_canonical_key(head, rows, repeats, scale):
-    rows = [[scale * v for v in r] for r in rows + [rows[i % len(rows)] for i in repeats]]
+def test_lexsort_order_matches_canonical_key(head, rows, repeats):
+    rows += [rows[i % len(rows)] for i in repeats]
     a = np.array(rows, dtype=np.int64)
 
     def canonical_key(row):  # the sort key before the rows became a matrix
