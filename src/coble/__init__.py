@@ -80,6 +80,6 @@ from .classify import (
     terminal_shape,
 )
 from .constructions import BUILDERS
-from .catalog import catalog_names, catalog_summary, load_entry, verify_example
+from .catalog import catalog_names, catalog_summary, verify_example
 
 __version__ = "0.1.0"

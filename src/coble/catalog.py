@@ -1,16 +1,13 @@
 """Catalog of worked constructions and the claim evaluation engine.
 
-Each catalog entry is built by its builder in ``constructions.BUILDERS``,
-which makes the blow-up sequences, configurations and claim arguments.
-The JSON data file shipped with the package holds only what the builder
-is checked against: name, description, default parameters (empty for a
-static entry) and, per claim, its description, check name and frozen
-expected value (an integer or an affine form in the parameters).  A data
-file is regenerated as ``json.dumps(bundle_to_json(BUILDERS[name]()),
-indent=1)`` plus a final newline.
+``constructions.BUILDERS`` is the catalog.  Each builder makes one entry:
+its blow-up sequences, configurations and claims, every claim with its
+expected value beside its arguments.  A builder's signature states the
+entry's parameters and their defaults; a static entry's builder takes
+none.
 
-``verify_example`` evaluates every claim of an entry and reports each
-comparison.  The claim language:
+``verify_example`` builds an entry, recomputes every claim and reports
+each comparison.  The claim language:
 
   class-identity       {sequence, lhs, rhs}            -> bool
   combination-square   {sequence, terms}               -> int
@@ -33,17 +30,14 @@ comparison.  The claim language:
   reduce               {vector}                        -> final shape description
 
 Linear combinations are lists of (name, coefficient) terms in the term
-language of ``blowup.combination``, which evaluates them.  An expected
-value of the form ``{"affine": {"const": c, "<param>": a, ...}}`` means
-c + sum a*param; inside a dict expected value, ``None`` marks a field as
-unchecked.
+language of ``blowup.combination``, which evaluates them.  Inside a dict
+expected value, ``None`` marks a field as unchecked.
 """
 
 from __future__ import annotations
 
-import json
+import inspect
 from dataclasses import dataclass
-from importlib import resources
 
 from . import constructions
 from .blowup import combination, verify_class_identity
@@ -62,60 +56,13 @@ from .fibers import recognize_fiber
 from .lattice import arithmetic_genus, pair
 
 
-def _data_root():
-    return resources.files("coble").joinpath("data", "catalog")
-
-
 def catalog_names() -> list[str]:
-    return sorted(
-        p.name[: -len(".json")]
-        for p in _data_root().iterdir()
-        if p.name.endswith(".json")
-    )
+    return sorted(constructions.BUILDERS)
 
 
-def load_entry(name: str) -> dict:
-    path = _data_root().joinpath(f"{name}.json")
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise KeyError(f"no catalog entry named {name!r}") from None
-    return json.loads(text)
-
-
-def bundle_to_json(bundle) -> dict:
-    """Serialize a built example as a catalog data file: the frozen claims."""
-    return {
-        "name": bundle.name,
-        "description": bundle.description,
-        "parametric": bundle.parametric,
-        "parameters": dict(bundle.parameters),
-        "claims": [
-            {k: c[k] for k in ("description", "check", "expected")}
-            for c in bundle.claims
-        ],
-    }
-
-
-def _affine_value(form: dict, params: dict) -> int:
-    value = int(form.get("const", 0))
-    for name, coeff in form.items():
-        if name == "const":
-            continue
-        if name not in params:
-            raise KeyError(f"affine expected value references unknown parameter {name!r}")
-        value += int(coeff) * int(params[name])
-    return value
-
-
-def _resolve_expected(expected, params: dict):
-    if isinstance(expected, dict) and set(expected) == {"affine"}:
-        return _affine_value(expected["affine"], params)
-    if isinstance(expected, dict):
-        return {k: _resolve_expected(v, params) for k, v in expected.items()}
-    if isinstance(expected, list):
-        return [_resolve_expected(v, params) for v in expected]
-    return expected
+def _defaults(builder) -> dict:
+    """The builder's parameters and their defaults, in signature order."""
+    return {p.name: p.default for p in inspect.signature(builder).parameters.values()}
 
 
 def _matches(actual, expected) -> bool:
@@ -274,35 +221,8 @@ class ExampleReport:
         }
 
 
-def _materialize(entry: dict, params: dict | None):
-    """Build an entry: sequences, configurations, claims and parameters.
-
-    The builder makes every claim's arguments; the frozen expected values
-    come from the data file, matched to the built claims by position.
-    """
-    defaults = entry["parameters"]
-    unknown = sorted(set(params or {}) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"catalog entry {entry['name']!r} takes no parameters named "
-            f"{', '.join(unknown)} (accepted: {', '.join(defaults) or 'none'})"
-        )
-    merged = {**defaults, **(params or {})}
-    bundle = constructions.BUILDERS[entry["name"]](**merged)
-    claims = []
-    for i, (frozen, built) in enumerate(zip(entry["claims"], bundle.claims, strict=True)):
-        if (frozen["check"], frozen["description"]) != (built["check"], built["description"]):
-            raise ValueError(
-                f"catalog data and constructor disagree on claim order for "
-                f"{entry['name']!r} at claim {i}: {frozen['check']} "
-                f"{frozen['description']!r} vs {built['check']} {built['description']!r}"
-            )
-        claims.append({**built, "expected": frozen["expected"]})
-    return bundle.sequences, bundle.configurations, claims, merged
-
-
 def verify_example(name: str, params: dict | None = None) -> ExampleReport:
-    """Evaluate every claim of a catalog entry.
+    """Build a catalog entry and evaluate every claim against its expected value.
 
     TESTS::
 
@@ -312,35 +232,49 @@ def verify_example(name: str, params: dict | None = None) -> ExampleReport:
         >>> rep.ok, len(rep.results)
         (True, 5)
     """
-    entry = load_entry(name)
-    sequences, configurations, claims, merged = _materialize(entry, params)
+    try:
+        builder = constructions.BUILDERS[name]
+    except KeyError:
+        raise KeyError(f"no catalog entry named {name!r}") from None
+    defaults = _defaults(builder)
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"catalog entry {name!r} takes no parameters named "
+            f"{', '.join(unknown)} (accepted: {', '.join(defaults) or 'none'})"
+        )
+    merged = {**defaults, **(params or {})}
+    bundle = builder(**merged)
     results = []
-    for claim in claims:
-        expected = _resolve_expected(claim["expected"], merged)
-        actual = run_check(claim["check"], claim["args"], sequences, configurations)
+    for claim in bundle.claims:
+        actual = run_check(claim["check"], claim["args"], bundle.sequences, bundle.configurations)
         results.append(
             ClaimResult(
                 description=claim["description"],
                 check=claim["check"],
-                expected=expected,
+                expected=claim["expected"],
                 actual=actual,
-                passed=_matches(actual, expected),
+                passed=_matches(actual, claim["expected"]),
             )
         )
     return ExampleReport(name=name, parameters=merged, results=tuple(results))
 
 
 def catalog_summary() -> list[dict]:
+    """Name, description, parameters and claim count of every entry, read
+    from its build at the default parameters."""
     out = []
     for name in catalog_names():
-        entry = load_entry(name)
+        builder = constructions.BUILDERS[name]
+        defaults = _defaults(builder)
+        bundle = builder()
         out.append(
             {
-                "name": name,
-                "description": entry["description"],
-                "parametric": entry["parametric"],
-                "parameters": entry["parameters"],
-                "claims": len(entry["claims"]),
+                "name": bundle.name,
+                "description": bundle.description,
+                "parametric": bool(defaults),
+                "parameters": defaults,
+                "claims": len(bundle.claims),
             }
         )
     return out

@@ -26,9 +26,8 @@ import json
 from dataclasses import dataclass, field
 
 from .config import UNDETERMINED, CurveConfiguration, check_snc, divisor_pa
-from .lattice import Base, DivisorClass, Hirzebruch, P2, base_from_json, make_lattice, pair
-
-REDUCED_FIBERS = {"smooth", "II", "III", "IV"} | {f"I{n}" for n in range(1, 13)}
+from .fibers import fiber_family
+from .lattice import Base, DivisorClass, P2, base_from_json, make_lattice, pair
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,19 @@ class RationalTypeInput:
 
     @property
     def mobile(self) -> Component:
-        return next(c for c in self.components if c.role == "M1")
+        return self.components[self.at("M1")[0]]
+
+    def at(self, role: str) -> list[int]:
+        """Positions of the components of ``role``: equal components are
+        distinct curves, told apart by position only."""
+        return [i for i, c in enumerate(self.components) if c.role == role]
 
     def parts(self, role: str) -> list[Component]:
-        return [c for c in self.components if c.role == role]
+        return [self.components[i] for i in self.at(role)]
 
-    def on_p1(self, comp: Component) -> bool:
-        if self.marked_point is None:
-            return False
-        return self.components.index(comp) in self.marked_point.on
+    def on_p1(self, i: int) -> bool:
+        """Whether component ``i`` passes through the marked point."""
+        return self.marked_point is not None and i in self.marked_point.on
 
     def to_json(self) -> dict:
         data = {
@@ -245,12 +248,8 @@ def _common_rows(rows: _Rows, inp: RationalTypeInput, mk_required, marked_on_m1:
         m_down - expect_p1 == inp.m,
     )
     if marked_on_m1:
-        rows.check(
-            "marked-point-on-mobile",
-            "p1 on M1" if inp.on_p1(m1) else "p1 not on M1",
-            "p1 on M1",
-            inp.on_p1(m1),
-        )
+        on = inp.on_p1(inp.at("M1")[0])
+        rows.check("marked-point-on-mobile", "p1 on M1" if on else "p1 not on M1", "p1 on M1", on)
     for c in inp.parts("G"):
         rows.check(
             "section-pairing-bound",
@@ -295,16 +294,15 @@ def _roles_multiset(inp: RationalTypeInput, role: str) -> str:
 
 
 def _incidence_row(rows: _Rows, inp: RationalTypeInput, required: dict) -> None:
-    """required: component -> bool (must/m must-not pass through p1)."""
+    """required: component position -> bool (must/must-not pass through p1)."""
     if inp.marked_point is None:
         rows.check("marked-point-incidences", "no marked point given", "p1 data", False)
         return
     bad = []
-    for comp, want in required.items():
-        have = inp.on_p1(comp)
+    for i, want in required.items():
+        have = inp.on_p1(i)
         if have != want:
-            i = inp.components.index(comp)
-            bad.append(f"component {i} ({comp.role}) {'on' if have else 'off'} p1")
+            bad.append(f"component {i} ({inp.components[i].role}) {'on' if have else 'off'} p1")
     rows.check(
         "marked-point-incidences",
         "; ".join(bad) if bad else "as required",
@@ -321,13 +319,13 @@ def _is(inp, c, name) -> bool:
 
 
 def _case_1(inp, rows):
-    gs, hs = inp.parts("G"), inp.parts("H")
+    g_at, h_at = inp.at("G"), inp.at("H")
     _common_rows(rows, inp, [(0, 1)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
     rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "2xconic")
     rows.check("residual-shape", _roles_multiset(inp, "H"), "1xline")
-    if gs and hs:
-        _incidence_row(rows, inp, {hs[0]: True, gs[0]: False})
+    if g_at and h_at:
+        _incidence_row(rows, inp, {h_at[0]: True, g_at[0]: False})
     return ["M1 and H1 are distinct lines", "Supp Gamma is simple normal crossing"]
 
 
@@ -342,21 +340,21 @@ def _case_2(inp, rows):
         True,
     )
     rows.check("residual-count", sum(h.g for h in hs), 4 - inp.k)
-    req = {h: True for h in hs}
+    req = dict.fromkeys(inp.at("H"), True)
     if gs:
-        req[gs[0]] = False
+        req[inp.at("G")[0]] = False
     _incidence_row(rows, inp, req)
     return ["M1 differs from every H_i; repeated H_i are allowed"]
 
 
 def _case_3(inp, rows):
-    gs, hs = inp.parts("G"), inp.parts("H")
+    g_at, h_at = inp.at("G"), inp.at("H")
     _common_rows(rows, inp, [(0, 1)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
     rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "2xconic")
     rows.check("residual-shape", _roles_multiset(inp, "H"), "1xline")
-    if gs and hs:
-        _incidence_row(rows, inp, {hs[0]: True, gs[0]: True})
+    if g_at and h_at:
+        _incidence_row(rows, inp, {h_at[0]: True, g_at[0]: True})
     return [
         "M1 and H1 meet the conic transversally at p1 and at two other points",
         "M1 and H1 are distinct lines",
@@ -372,7 +370,7 @@ def _case_4(inp, rows):
         "residual-shape", all(_is(inp, h, "line") for h in hs) and bool(hs), True
     )
     rows.check("residual-count", sum(h.g for h in hs), 6 - inp.k)
-    _incidence_row(rows, inp, {h: True for h in hs})
+    _incidence_row(rows, inp, dict.fromkeys(inp.at("H"), True))
     return ["M1 differs from every H_i; repeated H_i are allowed"]
 
 
@@ -411,13 +409,13 @@ def _case_6(inp, rows):
 
 
 def _case_7(inp, rows):
-    gs = inp.parts("G")
+    g_at = inp.at("G")
     _common_rows(rows, inp, [(3, 1)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "conic")
     rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "1xline+3xline")
     rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
-    triple = [c for c in gs if c.g == 3]
-    single = [c for c in gs if c.g == 1]
+    triple = [i for i in g_at if inp.components[i].g == 3]
+    single = [i for i in g_at if inp.components[i].g == 1]
     if triple and single:
         _incidence_row(rows, inp, {single[0]: True, triple[0]: False})
     _fixed_part_pairing(rows, inp)
@@ -433,7 +431,7 @@ def _case_8(inp, rows):
     )
     rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
     rows.check("coefficient-sum", sum(c.g for c in gs), 4)
-    off = [c for c in gs if not inp.on_p1(c)]
+    off = [i for i in inp.at("G") if not inp.on_p1(i)]
     rows.check(
         "off-point-line",
         f"{len(off)} line(s) avoid p1",
@@ -441,8 +439,9 @@ def _case_8(inp, rows):
         len(off) == 1,
     )
     if len(off) == 1:
-        rows.check("off-point-coefficient", off[0].g, "1 or 2", off[0].g in (1, 2))
-        _incidence_row(rows, inp, {c: (c not in off) for c in gs})
+        g1 = inp.components[off[0]].g
+        rows.check("off-point-coefficient", g1, "1 or 2", g1 in (1, 2))
+        _incidence_row(rows, inp, {i: i not in off for i in inp.at("G")})
     _fixed_part_pairing(rows, inp)
     return [
         "the G_j through p1 meet M1 transversally there and at one other point each",
@@ -546,11 +545,9 @@ def _case_12(inp, rows):
 
 
 def _case_13(inp, rows):
-    gs, hs = inp.parts("G"), inp.parts("H")
-    b = inp.y_min.b if isinstance(inp.y_min, Hirzebruch) else -1
-    _common_rows(
-        rows, inp, [(0, kk) for kk in range(1, max(2 * (b + 2), 2))], marked_on_m1=False
-    )
+    hs = inp.parts("H")
+    b = inp.y_min.b
+    _common_rows(rows, inp, [(0, kk) for kk in range(1, 2 * (b + 2))], marked_on_m1=False)
     rows.check("minimal-model", f"b = {b}", "b >= 2", b >= 2)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "fiber")
     rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "4xnegative-section")
@@ -565,7 +562,7 @@ def _case_13(inp, rows):
 def _section_case(inp, rows, b_required, g1_required, fiber_sum, pairing):
     """Shared shape logic for the three negative-section scroll cases."""
     gs = inp.parts("G")
-    b = inp.y_min.b if isinstance(inp.y_min, Hirzebruch) else -1
+    b = inp.y_min.b
     rows.check("minimal-model", f"b = {b}", f"b = {b_required}", b == b_required)
     # the section class a f + s0 with a = (m + b)/2 reproduces M1^2 = m
     rows.check("mobile-shape", inp.mobile.cls.coeffs[:2], ((inp.m + b_required) // 2, 1))
@@ -604,9 +601,9 @@ def _case_15(inp, rows):
 
 
 def _case_16(inp, rows):
-    gs, hs = inp.parts("G"), inp.parts("H")
+    gs = inp.parts("G")
     _common_rows(rows, inp, [(inp.m, 1)] if inp.m >= 3 else [], marked_on_m1=False)
-    b = inp.y_min.b if isinstance(inp.y_min, Hirzebruch) else -1
+    b = inp.y_min.b
     rows.check("mobile-degree-range", inp.m, ">= 3", inp.m >= 3)
     rows.check("minimal-model", f"b = {b}", f"b = m = {inp.m}", b == inp.m)
     rows.check("mobile-shape", inp.mobile.cls.coeffs[:2], (inp.m, 1))
@@ -714,7 +711,8 @@ def jacobian_bound_check(fiber_name: str, g) -> JacobianBoundReport:
             violations.append(
                 f"tower depth 6 requires a fiber of type II*, not {fiber_name}"
             )
-    reduced = fiber_name in REDUCED_FIBERS
+    family, _ = fiber_family(fiber_name)
+    reduced = not family.endswith("*")
     deep = [x for x in g if x >= 2]
     if reduced and deep:
         violations.append(
@@ -725,7 +723,7 @@ def jacobian_bound_check(fiber_name: str, g) -> JacobianBoundReport:
             "two towers of depth >= 2 would close a loop through the fiber"
         )
     contracted = None
-    if fiber_name.startswith("I") and fiber_name[1:].isdigit() and m >= 7:
+    if family == "I" and m >= 7:
         contracted = m + m // 2
         violations.append(
             f"contracting {m} sections and {m // 2} cycle components gives "
@@ -922,10 +920,5 @@ def halphen_k3_predicate(fiber_name: str, second_fiber: str | None = None) -> bo
         >>> halphen_k3_predicate("I0*")
         False
     """
-    def good(name: str) -> bool:
-        if name in ("II", "III", "IV"):
-            return True
-        return name.startswith("I") and name[1:].isdigit()
-
     names = [fiber_name] + ([second_fiber] if second_fiber is not None else [])
-    return all(good(n) for n in names)
+    return all(fiber_family(n)[0] in ("I", "II", "III", "IV") for n in names)

@@ -3,12 +3,13 @@
 Each builder assembles one documented construction: a blow-up sequence
 with named curves, derived dual-graph configurations, and a list of
 machine-checkable claims (class identities, self-intersections, fiber
-types, classification matches, blow-down arithmetic).  The builders are
-the only source of a catalog entry's geometry and claim arguments: each
-package data file holds just the entry's claims (description, check name,
-frozen expected value), which ``catalog.verify_example`` matches to the
-built claims by position.  ``catalog.bundle_to_json`` writes that file
-from a builder's output.
+types, classification matches, blow-down arithmetic).  ``BUILDERS`` is the
+whole catalog: a builder is the only store of its entry's geometry, claim
+arguments and expected values, and its signature is the only statement of
+the entry's parameters and their defaults.  A parametric builder writes
+each expected value that varies as a closed form in its parameters,
+never read back from what it built; ``catalog.verify_example`` recomputes
+every claim and compares.
 
 Claim args reference sequences and configurations by name.  Linear
 combinations of divisor classes are lists of (name, coefficient) pairs in
@@ -38,11 +39,9 @@ MAX_BLOWUPS = 400
 class ExampleBundle:
     name: str
     description: str
-    parameters: dict
     sequences: dict  # name -> (BlowUpSequence, {label: CurveAssignment})
     configurations: dict  # name -> CurveConfiguration
     claims: tuple  # of claim dicts {description, check, args, expected}
-    parametric: bool = False
 
 
 def _claim(description, check, args, expected):
@@ -149,7 +148,6 @@ def triangle_pencil() -> ExampleBundle:
         name="triangle-pencil",
         description="Cubic pencil through two special line triangles; hexagon and "
                     "triangle members, six disjoint sections, mobile square 6.",
-        parameters={},
         sequences={"V": (seq, assignments)},
         configurations={"hexagon-fiber": hexagon, "triangle-fiber": triangle},
         claims=claims,
@@ -254,7 +252,6 @@ def two_star_fibers() -> ExampleBundle:
         name="two-star-fibers",
         description="Pencil with two I0* members; four sections; blow-ups and "
                     "blow-downs exhibit rational type with a doubled mobile line.",
-        parameters={},
         sequences={"V": (seq_v, asg_v), "Xprime": (seq_x, asg_x)},
         configurations={"star-fiber-1": star1, "star-fiber-2": star2},
         claims=claims,
@@ -332,7 +329,6 @@ def three_lines_conic() -> ExampleBundle:
         name="three-lines-conic",
         description="Three lines plus a conic; mobile part of square 3 and genus 1; "
                     "a generic tenth blow-up keeps the surface in the family.",
-        parameters={},
         sequences={"X": (seq, assignments)},
         configurations={"member": member_cfg},
         claims=claims,
@@ -391,7 +387,7 @@ def sections_to_minus_four(m: int = 6) -> ExampleBundle:
                {"sequence": "Yprime",
                 "contract": [[[f"e:{_HEX_SECTIONS[c]}", 1]] for c in chosen],
                 "track": track},
-               {"k_squared": None, "track_square": {"affine": {"m": 1}}}),
+               {"k_squared": None, "track_square": m}),
         _claim("the first (-4)-transform meets the residual anticanonical part twice",
                "pairing",
                {"sequence": "Yprime", "a": comp_terms(chosen[0]), "b": delta}, 2),
@@ -403,11 +399,9 @@ def sections_to_minus_four(m: int = 6) -> ExampleBundle:
         description="Blow up hexagon-cycle nodes until m component transforms reach "
                     "self-intersection -4; contract the m sections; the mobile member "
                     "square equals m.",
-        parameters={"m": m},
         sequences={"Yprime": (seq, assignments)},
         configurations={},
         claims=claims,
-        parametric=True,
     )
 
 
@@ -481,10 +475,10 @@ def scroll_fiber_tower(n: int = 3, t: int = 0, b: int = 4) -> ExampleBundle:
                True),
         _claim("K^2 = 5 - (n + t + b)",
                "k-squared", {"sequence": "X"},
-               {"affine": {"const": 5, "n": -1, "t": -1, "b": -1}}),
+               5 - (n + t + b)),
         _claim("the negative section has self-intersection -b",
                "combination-square", {"sequence": "X", "terms": [["b:s0", 1]]},
-               {"affine": {"const": 0, "b": -1}}),
+               -b),
         _claim("the direct image data fits the fiber-pencil shape (case 13) with k = n",
                "match-case", {"input": case13_input}, [13]),
     )
@@ -492,11 +486,9 @@ def scroll_fiber_tower(n: int = 3, t: int = 0, b: int = 4) -> ExampleBundle:
         name="scroll-fiber-tower",
         description="Towers over fibers of a Hirzebruch surface; K^2 = 5-(n+t+b) with "
                     "an explicit bi-anticanonical decomposition and a case-13 image.",
-        parameters={"n": n, "t": t, "b": b},
         sequences={"X": (seq, assignments)},
         configurations={},
         claims=claims,
-        parametric=True,
     )
 
 
@@ -566,7 +558,6 @@ def quintic_plus_line() -> ExampleBundle:
         name="quintic-plus-line",
         description="Six-nodal quintic plus transversal line; reduced SNC member of "
                     "two (-3)-curves; two blocked blow-down witnesses.",
-        parameters={},
         sequences={"X": (seq, assignments)},
         configurations={"member": member, "member-with-e": member_e,
                         "member-with-bisection": member_c2},
@@ -644,7 +635,6 @@ def halphen_five_lines() -> ExampleBundle:
         description="Five general lines; index-2 pencil with an I0* member; the "
                     "blown-up surface has an isolated non-reduced bi-anticanonical "
                     "member and no K3 double cover.",
-        parameters={},
         sequences={"X": (seq, assignments)},
         configurations={"star-fiber": star, "member": member,
                         "member-with-ea": member_ea},

@@ -1,11 +1,13 @@
 """Kodaira fiber types: model builders and graph-isomorphism recognition.
 
 Each degenerate fiber of a relatively minimal genus-1 fibration is one of
-the classical Kodaira types.  ``kodaira_fiber`` builds the model
-configuration for a named type (components with multiplicities, all
-rational of self-intersection -2 except the one-component types), and
-``recognize_fiber`` matches an arbitrary configuration against the
-catalog, returning the type name or None.
+the classical Kodaira types.  ``fiber_family`` is the one reader of a
+type name, and refuses a name outside ``FIBER_NAMES`` with KeyError.
+``kodaira_fiber`` builds the model configuration for a named type
+(components with multiplicities, all rational of self-intersection -2
+except the one-component types), and ``recognize_fiber`` matches an
+arbitrary configuration against the catalog, returning the type name or
+None.
 
 Every model satisfies F^2 = 0, K.F = 0 and p_a(F) = 1; the recognizer
 re-derives those identities for whatever it matches as a consistency
@@ -28,6 +30,34 @@ def _nodes(pairs):
     return tuple(Node(nid, self_int=-2, mult=m) for nid, m in pairs)
 
 
+FIBER_NAMES = (
+    ["smooth", "II", "III", "IV", "IV*", "III*", "II*"]
+    + [f"I{n}" for n in range(1, MAX_IN + 1)]
+    + [f"I{b}*" for b in range(0, MAX_ISTAR + 1)]
+)
+
+
+def fiber_family(name: str) -> tuple[str, int]:
+    """Read a Kodaira type name as (family, index).
+
+    "I<n>" reads as ("I", n) and "I<b>*" as ("I*", b); every other type is
+    its own family with index 0.  A name outside ``FIBER_NAMES`` raises
+    KeyError.
+
+    TESTS::
+
+        >>> fiber_family("I6"), fiber_family("I0*"), fiber_family("IV*")
+        (('I', 6), ('I*', 0), ('IV*', 0))
+    """
+    if name not in FIBER_NAMES:
+        raise KeyError(f"unknown fiber type {name!r}")
+    if name.startswith("I") and name[1].isdigit():
+        if name.endswith("*"):
+            return "I*", int(name[1:-1])
+        return "I", int(name[1:])
+    return name, 0
+
+
 def kodaira_fiber(name: str) -> CurveConfiguration:
     """Model configuration for a Kodaira fiber type.
 
@@ -42,24 +72,23 @@ def kodaira_fiber(name: str) -> CurveConfiguration:
         >>> kodaira_fiber("II*").nodes[5].mult
         6
     """
-    if name == "smooth":
+    family, index = fiber_family(name)
+    if family == "smooth":
         return CurveConfiguration((Node("C", self_int=0, genus=1),))
-    if name == "II":
+    if family == "II":
         return CurveConfiguration((Node("C", self_int=0, genus=1, sing="cusp"),))
-    if name == "III":
+    if family == "III":
         return CurveConfiguration(
             (Node("A", -2), Node("B", -2)), (Edge("A", "B", tangency=2),)
         )
-    if name == "IV":
+    if family == "IV":
         return CurveConfiguration(
             (Node("A", -2), Node("B", -2), Node("C", -2)),
             (Edge("A", "B"), Edge("B", "C"), Edge("A", "C")),
             triple_points=(("A", "B", "C"),),
         )
-    if name.startswith("I") and name.endswith("*") and name[1:-1].isdigit():
-        b = int(name[1:-1])
-        if not 0 <= b <= MAX_ISTAR:
-            raise ValueError(f"I_b* supported for 0 <= b <= {MAX_ISTAR}")
+    if family == "I*":
+        b = index
         # chain of b+1 multiplicity-2 components with two leaves at each end
         chain = [(f"C{i}", 2) for i in range(b + 1)]
         leaves = [("L1", 1), ("L2", 1), ("L3", 1), ("L4", 1)]
@@ -72,10 +101,8 @@ def kodaira_fiber(name: str) -> CurveConfiguration:
             Edge("L4", f"C{b}"),
         ]
         return CurveConfiguration(nodes, tuple(edges))
-    if name.startswith("I") and name[1:].isdigit():
-        n = int(name[1:])
-        if not 1 <= n <= MAX_IN:
-            raise ValueError(f"I_n supported for 1 <= n <= {MAX_IN}")
+    if family == "I":
+        n = index
         if n == 1:
             return CurveConfiguration((Node("C", self_int=0, genus=1, sing="node"),))
         if n == 2:
@@ -85,7 +112,7 @@ def kodaira_fiber(name: str) -> CurveConfiguration:
         nodes = _nodes((f"C{i}", 1) for i in range(n))
         edges = tuple(Edge(f"C{i}", f"C{(i+1) % n}") for i in range(n))
         return CurveConfiguration(nodes, edges)
-    if name == "IV*":
+    if family == "IV*":
         nodes = _nodes(
             [("Z", 3), ("A1", 2), ("A2", 1), ("B1", 2), ("B2", 1), ("C1", 2), ("C2", 1)]
         )
@@ -95,36 +122,25 @@ def kodaira_fiber(name: str) -> CurveConfiguration:
             Edge("Z", "C1"), Edge("C1", "C2"),
         )
         return CurveConfiguration(nodes, edges)
-    if name == "III*":
+    if family == "III*":
         mults = [1, 2, 3, 4, 3, 2, 1]
         nodes = _nodes([(f"C{i}", m) for i, m in enumerate(mults)] + [("T", 2)])
         edges = tuple(Edge(f"C{i}", f"C{i+1}") for i in range(6)) + (Edge("T", "C3"),)
         return CurveConfiguration(nodes, edges)
-    if name == "II*":
-        mults = [1, 2, 3, 4, 5, 6, 4, 2]
-        nodes = _nodes([(f"C{i}", m) for i, m in enumerate(mults)] + [("T", 3)])
-        edges = tuple(Edge(f"C{i}", f"C{i+1}") for i in range(7)) + (Edge("T", "C5"),)
-        return CurveConfiguration(nodes, edges)
-    raise ValueError(f"unknown Kodaira type {name!r}")
-
-
-FIBER_NAMES = (
-    ["smooth", "II", "III", "IV", "IV*", "III*", "II*"]
-    + [f"I{n}" for n in range(1, MAX_IN + 1)]
-    + [f"I{b}*" for b in range(0, MAX_ISTAR + 1)]
-)
+    mults = [1, 2, 3, 4, 5, 6, 4, 2]  # II*
+    nodes = _nodes([(f"C{i}", m) for i, m in enumerate(mults)] + [("T", 3)])
+    edges = tuple(Edge(f"C{i}", f"C{i+1}") for i in range(7)) + (Edge("T", "C5"),)
+    return CurveConfiguration(nodes, edges)
 
 
 def fiber_euler_number(name: str) -> int:
     """Topological Euler number of the fiber."""
-    table = {"smooth": 0, "II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-    if name in table:
-        return table[name]
-    if name not in FIBER_NAMES:
-        raise KeyError(f"unknown fiber type {name!r}")
-    if name.endswith("*"):
-        return int(name[1:-1]) + 6
-    return int(name[1:])
+    family, index = fiber_family(name)
+    if family == "I":
+        return index
+    if family == "I*":
+        return index + 6
+    return {"smooth": 0, "II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[family]
 
 
 def _signature(cfg: CurveConfiguration):

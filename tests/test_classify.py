@@ -394,3 +394,34 @@ def test_halphen_k3_predicate():
     assert not halphen_k3_predicate("I0*")
     assert not halphen_k3_predicate("I6", "I0*")
     assert not halphen_k3_predicate("II*")
+
+
+def test_repeated_components_are_told_apart_by_position():
+    # case 2 allows repeated H_i: each one must pass through p1 on its own
+    def case_2(on):
+        return RationalTypeInput(
+            P2(), 2, 0,
+            (C("M1", 2, LINE), C("G", 2, LINE), C("H", 1, LINE), C("H", 1, LINE)),
+            MarkedPoint(on),
+        )
+
+    assert match_rational_case(case_2((0, 2, 3))).matched_cases == (2,)
+    for on, missing in (((0, 2), 3), ((0, 3), 2)):
+        report = match_rational_case(case_2(on))
+        assert 2 not in report.matched_cases, on
+        row = next(r for r in report.failures(2) if r.name == "marked-point-incidences")
+        assert row.actual == f"component {missing} (H) off p1", on
+    # case 8 counts the two equal lines at positions 2 and 3 apart: only 3 is on p1
+    report = match_rational_case(PERTURBED[8][0])
+    row = next(r for r in report.failures(8) if r.name == "off-point-line")
+    assert row.actual == "2 line(s) avoid p1"
+
+
+def test_fiber_names_outside_the_catalog_are_refused():
+    for name in ("I13", "I01", "I99", "nonsense", "I9*", "V"):
+        with pytest.raises(KeyError, match="unknown fiber type"):
+            jacobian_bound_check(name, [2])
+        with pytest.raises(KeyError, match="unknown fiber type"):
+            halphen_k3_predicate(name)
+        with pytest.raises(KeyError, match="unknown fiber type"):
+            halphen_k3_predicate("I6", name)

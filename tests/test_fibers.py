@@ -6,6 +6,7 @@ from coble.config import CurveConfiguration, Edge, Node, divisor_pa
 from coble.fibers import (
     FIBER_NAMES,
     fiber_euler_number,
+    fiber_family,
     kodaira_fiber,
     recognize_fiber,
 )
@@ -61,6 +62,15 @@ def test_euler_numbers():
         assert fiber_euler_number(f"I{b}*") == b + 6
     with pytest.raises(KeyError):
         fiber_euler_number("V")
+
+
+def test_one_reader_for_type_names():
+    assert [fiber_family(name) for name in ("smooth", "II*", "I1", "I12", "I0*", "I8*")] == [
+        ("smooth", 0), ("II*", 0), ("I", 1), ("I", 12), ("I*", 0), ("I*", 8)]
+    for name in ("I13", "I0", "I01", "I99", "I9*", "I*", "nonsense", ""):
+        for read in (fiber_family, fiber_euler_number, kodaira_fiber):
+            with pytest.raises(KeyError, match="unknown fiber type"):
+                read(name)
 
 
 def test_component_counts():
