@@ -147,17 +147,20 @@ def _cmd_verify_example(args) -> int:
         except ValueError:
             print(f"error: parameter {key!r} must be an integer", file=sys.stderr)
             return 2
-    try:
-        report = verify_example(args.name, params or None)
-    except KeyError:
+    if args.name not in catalog_names():
         print(
             f"error: no catalog entry named {args.name!r}; available: "
             + ", ".join(catalog_names()),
             file=sys.stderr,
         )
         return 2
+    try:
+        report = verify_example(args.name, params or None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:  # raised by a claim of an entry that exists
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
     def human(data):

@@ -31,10 +31,13 @@ Anything else yields the first-class verdict ``UNDETERMINED`` rather than
 a guess or an error.
 
 Numerical k-connectivity (D1.D2 >= k for every D = D1 + D2 with both parts
-nonzero and effective) is decided in closed form by Zariski's lemma when D
-is nef on its connected support, as on every Kodaira fiber and its
-multiples, and otherwise by a scan of bounded size (see
-``is_numerically_k_connected``).  A scan refused for its size makes
+nonzero and effective) takes one of three paths (see
+``is_numerically_k_connected``): a closed form by Zariski's lemma when D is
+nef on its connected support, as on every Kodaira fiber and its multiples;
+an exact min-sum dynamic programme when the support's dual graph, with one
+edge per intersection point, is a forest, as on every Kodaira near-miss
+with no cycle; otherwise a scan of the decomposition box.  The budgets are
+checked before the programme or the scan runs, and a refusal makes
 ``divisor_pa`` answer ``UNDETERMINED``.
 """
 
@@ -311,21 +314,32 @@ def _zariski_verdict(cfg: CurveConfiguration, mults: dict, d: list[int], k: int)
 def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
     """Test D1.D2 >= k over all decompositions D = D1 + D2.
 
-    Both parts range over nonzero effective sub-divisors of D.  When D is
-    nef on its connected support (D.C_i >= 0 there), Zariski's lemma decides
-    in closed form: every k <= 0 holds, k >= 1 fails when D^2 = 0 and the
-    multiplicities share a factor, k = 1 holds otherwise, and so does k = 2
-    when every D.C_i + K.C_i is even (D1^2 = K.D1 mod 2).  Every other case
-    scans D1 over the box of prod(m_i + 1) decompositions up to its
-    midpoint, since D1 and D - D1 pair alike: in Python integers up to
-    ``_VECTORIZE_THRESHOLD`` decompositions, above it in numpy blocks of at
-    most ``_MAX_BLOCK`` rows, in int64 when every pairing fits and in Python
-    integers when one might not, stopping at the first violation.  Only the
-    scan builds a dense Gram, over the support alone.  Before it starts, a
-    scan past ``MAX_DISTINCT_COMPONENTS`` components or
-    ``MAX_DECOMPOSITIONS`` decompositions (divided by
-    ``_PYTHON_INT_SLOWDOWN`` when a pairing may pass int64) raises
-    ``DecompositionBudgetError`` naming the limit and the count.
+    Both parts range over nonzero effective sub-divisors of D; with none
+    (D a single reduced component) the test holds vacuously.  Three paths
+    decide it, and the budgets are checked after the first:
+
+    * When D is nef on its connected support (D.C_i >= 0 there), Zariski's
+      lemma decides in closed form: every k <= 0 holds, k >= 1 fails when
+      D^2 = 0 and the multiplicities share a factor, k = 1 holds otherwise,
+      and so does k = 2 when every D.C_i + K.C_i is even (D1^2 = K.D1
+      mod 2).
+    * Past it, a support of more than ``MAX_DISTINCT_COMPONENTS``
+      components or ``MAX_DECOMPOSITIONS`` decompositions (divided by
+      ``_PYTHON_INT_SLOWDOWN`` when a pairing may pass int64) raises
+      ``DecompositionBudgetError`` naming the limit and the count, whichever
+      path would follow.
+    * A support whose dual graph is a forest, with one edge per
+      intersection point (two curves meeting at two points form a cycle, as
+      for the cycle rank of ``loop_inequality_check``), is decided by the
+      exact least D1.D2 from a min-sum dynamic programme over the trees
+      (``_least_proper_pairing``), in Python integers.
+    * Any other support scans D1 over the box of prod(m_i + 1)
+      decompositions up to its midpoint, since D1 and D - D1 pair alike: in
+      Python integers up to ``_VECTORIZE_THRESHOLD`` decompositions, above
+      it in numpy blocks of at most ``_MAX_BLOCK`` rows, in int64 when every
+      pairing fits and in Python integers when one might not, stopping at
+      the first violation.  Only the scan builds a dense Gram, over the
+      support alone.
     """
     mults = cfg._support(subset)
     if not mults:
@@ -344,13 +358,13 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
             f"{MAX_DISTINCT_COMPONENTS} components ({len(mults)} given)"
         )
     sub_m = list(mults.values())
-    sub_gram = [[cfg.adjacency[i].get(j, (0, 0))[0] for j in mults] for i in mults]
-    for p, i in enumerate(mults):
-        sub_gram[p][p] = cfg.nodes[i].self_int
     total = math.prod(m + 1 for m in sub_m)
     # every product, partial sum and pairing in the scan is at most
-    # 2 * bound in absolute value
-    bound = sum(a * abs(g) * b for row, a in zip(sub_gram, sub_m) for g, b in zip(row, sub_m))
+    # 2 * bound = 2 sum_ij m_i |C_i.C_j| m_j in absolute value
+    bound = sum(
+        m * (abs(cfg.nodes[i].self_int) * m + sum(p * mults.get(j, 0) for j, (p, _) in cfg.adjacency[i].items()))
+        for i, m in mults.items()
+    )
     in_int64 = 2 * bound + abs(k) <= _INT64_MAX
     budget, name = MAX_DECOMPOSITIONS, "MAX_DECOMPOSITIONS"
     if not in_int64:
@@ -361,6 +375,12 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
             f"decomposition budget exceeded: {total:,} decompositions, "
             f"more than {name} = {budget:,}"
         )
+    if _is_forest(cfg, mults):
+        least = _least_proper_pairing(cfg, mults, d)
+        return least is None or least >= k
+    sub_gram = [[cfg.adjacency[i].get(j, (0, 0))[0] for j in mults] for i in mults]
+    for p, i in enumerate(mults):
+        sub_gram[p][p] = cfg.nodes[i].self_int
     if total > _VECTORIZE_THRESHOLD:
         return _k_connected_blocked(sub_gram, sub_m, d, np.int64 if in_int64 else object, k)
     diag = [sub_gram[p][p] for p in range(len(sub_m))]
@@ -375,6 +395,79 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
         if lin - 2 * sum(g * d1[p] * d1[q] for p, q, g in meets) < k:
             return False
     return True
+
+
+def _is_forest(cfg: CurveConfiguration, mults: dict) -> bool:
+    """Whether the dual graph of the support, with one edge per intersection
+    point, has no cycle: it has as many edges as nodes minus components."""
+    points = sum(pts for i in mults for j, (_, pts) in cfg.adjacency[i].items() if j in mults)
+    return points // 2 == len(mults) - len(cfg.components(list(mults)))
+
+
+def _least_proper_pairing(cfg: CurveConfiguration, mults: dict, d: list[int]):
+    """Least D1.(D - D1) over the proper decompositions D = D1 + D2 of a
+    support whose dual graph is a forest, or None when there is none.
+
+    For D1 = x, D1.(D - D1) = sum_i x_i (D.C_i - C_i^2 x_i) - 2 sum over
+    edges ij of (C_i.C_j) x_i x_j: one term per node and one per edge, so
+    a min-sum dynamic programme over each tree is exact.  Over a subtree,
+    an assignment carries two flags, "some x_j > 0" and "some x_j < m_j";
+    with only the first set it is all full, with only the second all zero.
+    A node's table holds, per x_i in 0..m_i, the least sum of the terms of
+    its subtree over the assignments with both flags set (None where there
+    is none), and the sum when all full, the one entry with the second flag
+    unset (at x_i = m_i); all zero sums to 0 (at x_i = 0).  Children fold
+    into their parents from the leaves up, flags combining by OR, in
+    O(sum over edges of (m_i + 1)(m_j + 1)) Python-integer steps.
+    """
+    d_at = dict(zip(mults, d))
+    least, seen = [], set()
+    for root in mults:
+        if root in seen:
+            continue
+        seen.add(root)
+        order, parent = [root], {}
+        for v in order:  # breadth first, so parents precede their children
+            for u in cfg.adjacency[v]:
+                if u in mults and u not in seen:
+                    seen.add(u)
+                    parent[u] = v
+                    order.append(u)
+        tables = {}
+        for v in order:
+            m, s = mults[v], cfg.nodes[v].self_int
+            terms = [x * (d_at[v] - s * x) for x in range(m + 1)]
+            tables[v] = [None] + terms[1:m] + [None], terms[m]
+        for v in reversed(order[1:]):
+            p = parent[v]
+            tables[p] = _fold(*tables[p], *tables.pop(v), 2 * cfg.adjacency[v][p][0])
+        least.append(min((t for t in tables[root][0] if t is not None), default=None))
+    if len(least) == 1:
+        return least[0]
+    # a tree sums to 0 all zero and all full, and one tree all zero with
+    # another all full is a proper decomposition of the forest
+    return sum(min(t, 0) for t in least if t is not None)
+
+
+def _fold(proper: list, full: int, child_proper: list, child_full: int, e: int) -> tuple[list, int]:
+    """A parent's table with one child's subtree folded in along an edge of
+    pairing e / 2: per parent value x, the child's value y is minimised
+    with the edge term -e x y, for each way the union can be proper."""
+    m, mc = len(proper) - 1, len(child_proper) - 1
+    entries = [(e * y, t) for y, t in enumerate(child_proper) if t is not None]
+    out = []
+    for x, t in enumerate(proper):
+        c_proper = min([u - x * s for s, u in entries], default=None)
+        c_full = child_full - e * x * mc
+        c_some = c_full if c_proper is None else min(c_full, c_proper)  # the child not all zero
+        best = None if t is None else t + min(c_some, 0)
+        if x == 0:  # the parent all zero so far: the child must not be
+            best = c_some if best is None else min(best, c_some)
+        if x == m:  # the parent all full so far: the child must not be
+            rest = full + (0 if c_proper is None else min(c_proper, 0))
+            best = rest if best is None else min(best, rest)
+        out.append(best)
+    return out, full + child_full - e * m * mc
 
 
 def _k_connected_blocked(sub_gram, sub_m, gd, dtype, k: int) -> bool:

@@ -186,6 +186,8 @@ def make_lattice(base: Base, n_blowups: int, point_labels=None) -> IntersectionL
         >>> make_lattice(Hirzebruch(2), 0).k_squared
         8
     """
+    if not isinstance(base, (P2, Hirzebruch)):
+        raise ValueError(f"base must be a P2 or Hirzebruch instance, got {base!r}")
     if n_blowups < 0:
         raise ValueError("number of blow-ups must be >= 0")
     if point_labels is None:

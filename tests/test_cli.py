@@ -1,5 +1,6 @@
 """Exit codes and output of every CLI subcommand, human and JSON forms."""
 
+import dataclasses
 import io
 import json
 import time
@@ -220,6 +221,23 @@ def test_verify_example_errors(capsys):
         capsys, ["verify-example", "scroll-fiber-tower", "--param", "n4"]
     )
     assert code == 2 and "NAME=INTEGER" in err
+
+
+def test_verify_example_claim_key_error_is_not_an_unknown_name(capsys, monkeypatch):
+    # a KeyError raised while a claim is checked is the claim's fault, not
+    # a missing catalog entry
+    from coble import constructions
+
+    build = constructions.BUILDERS["triangle-pencil"]
+
+    def broken():
+        bundle = build()
+        claim = {**bundle.claims[0], "check": "no-such-check"}
+        return dataclasses.replace(bundle, claims=(claim,) + bundle.claims[1:])
+
+    monkeypatch.setitem(constructions.BUILDERS, "triangle-pencil", broken)
+    code, out, err = run(capsys, ["verify-example", "triangle-pencil"])
+    assert (code, out, err) == (2, "", "error: unknown check 'no-such-check'\n")
 
 
 def test_verify_example_unknown_parameter(capsys):

@@ -438,6 +438,139 @@ def test_decomposition_budget_boundary(monkeypatch):
         is_numerically_k_connected(huge, None, 1)
 
 
+# ------------------------------------- forests: the dynamic programme, the scan
+
+
+def two_point_pair(a, b):
+    """(-3)-curves A, B with multiplicities 2a, 2b meeting at two points: a
+    cycle of the dual graph, so scanned.  The Gram is negative definite, so
+    D1.(D - D1) = D^2/4 - y.y for D1 = D/2 + y is least only at D1 = D/2,
+    the midpoint row of the box, where it is -3a^2 + 4ab - 3b^2."""
+    cfg = CurveConfiguration((Node("A", -3, mult=2 * a), Node("B", -3, mult=2 * b)), (Edge("A", "B", count=2),))
+    return cfg, -3 * a * a + 4 * a * b - 3 * b * b
+
+
+def test_blocked_scan_midpoint_row_on_a_cycle():
+    for a, b in ((1, 1), (32, 32)):  # 9 and 4,225 decompositions: both scans
+        cfg, least = two_point_pair(a, b)
+        assert not config._is_forest(cfg, cfg._support(None))
+        assert is_numerically_k_connected(cfg, None, least)
+        assert not is_numerically_k_connected(cfg, None, least + 1)
+    assert _uses_numpy(lambda: is_numerically_k_connected(cfg, None, least))
+
+
+def test_blocked_scan_block_boundaries_on_a_cycle(monkeypatch):
+    # blocks of 1, 2, 4, then 5 rows: the midpoint row 3a + 1 of a box of
+    # 3 (2a + 1) rows takes every position in a block over consecutive a
+    monkeypatch.setattr(config, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(config, "_MAX_BLOCK", 5)
+    for a in range(683, 693):
+        cfg, least = two_point_pair(a, 1)
+        assert is_numerically_k_connected(cfg, None, least)
+        assert not is_numerically_k_connected(cfg, None, least + 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(configurations(st.sampled_from(JUST_ABOVE_SWITCH)), st.integers(-1, 3))
+def test_blocked_scan_matches_exhaustive_scan_on_forests(cfg, k):
+    # the blocked scan with forests forced onto it, as before the DP
+    expected = exhaustive_k_connected(cfg, None, k)
+    mp = pytest.MonkeyPatch()
+    try:
+        mp.setattr(config, "_is_forest", lambda *args: False)
+        assert is_numerically_k_connected(cfg, None, k) is expected
+        mp.setattr(config, "_FIRST_BLOCK", 1)
+        mp.setattr(config, "_MAX_BLOCK", 5)
+        mp.setattr(config, "_zariski_verdict", lambda *args: None)
+        assert is_numerically_k_connected(cfg, None, k) is expected
+    finally:
+        mp.undo()
+
+
+@st.composite
+def forests(draw):
+    """Forests of up to six nodes, one intersection point per meeting pair
+    (tangency 1 or 2), with D.C_i mostly in [0, m_i) and sometimes moved by
+    m_i either way, and a sub-divisor: all of D, some components at their
+    multiplicity, or new multiplicities."""
+    n = draw(st.integers(1, 6))
+    ms = [draw(st.integers(1, 3)) for _ in range(n)]
+    # each node after the first hangs from an earlier one or starts a tree
+    parents = [draw(st.one_of(st.none(), st.integers(0, i - 1))) for i in range(1, n)]
+    pairs = [(p, i) for i, p in enumerate(parents, 1) if p is not None]
+    edges = [Edge(f"N{p}", f"N{i}", tangency=draw(st.integers(1, 2))) for p, i in pairs]
+    meet = [0] * n
+    for e, (p, i) in zip(edges, pairs):
+        meet[p] += e.tangency * ms[i]
+        meet[i] += e.tangency * ms[p]
+    nodes = tuple(
+        Node(f"N{i}", -(meet[i] // ms[i]) + draw(st.sampled_from((0, 0, 0, -1, 1))), mult=ms[i])
+        for i in range(n)
+    )
+    cfg = CurveConfiguration(nodes, tuple(draw(st.permutations(edges))))
+    ids = list(cfg.ids)
+    subset = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(ids), min_size=1, unique=True),
+        st.dictionaries(st.sampled_from(ids), st.integers(0, 3), min_size=1).filter(lambda s: any(s.values())),
+    ))
+    return cfg, subset
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(forests(), st.integers(-1, 3))
+def test_forest_dp_matches_exhaustive_scan(case, k):
+    cfg, subset = case
+    assert config._is_forest(cfg, cfg._support(subset))
+    assert is_numerically_k_connected(cfg, subset, k) is exhaustive_k_connected(cfg, subset, k)
+
+
+def kodaira_near_misses():
+    """Every model with one self-intersection moved by 1 or one edge dropped."""
+    for name in FIBER_NAMES:
+        fiber = kodaira_fiber(name)
+        for i, n in enumerate(fiber.nodes):
+            for delta in (-1, 1):
+                moved = Node(n.id, n.self_int + delta, n.genus, n.mult, n.sing)
+                yield name, CurveConfiguration(fiber.nodes[:i] + (moved,) + fiber.nodes[i + 1:], fiber.edges)
+        for i in range(len(fiber.edges)):
+            yield name, CurveConfiguration(fiber.nodes, fiber.edges[:i] + fiber.edges[i + 1:])
+
+
+def test_forest_dp_on_kodaira_near_misses(monkeypatch):
+    # the DP against the scan (forests forced onto it) up to 10^5
+    # decompositions and against the reference up to 64, k = -1..2
+    compared = forests_seen = 0
+    for name, cfg in kodaira_near_misses():
+        if not config._is_forest(cfg, cfg._support(None)):
+            continue
+        forests_seen += 1
+        box = _box(cfg)
+        for k in range(-1, 3):
+            fast = is_numerically_k_connected(cfg, None, k)
+            if box <= 64:
+                assert fast is exhaustive_k_connected(cfg, None, k), (name, k)
+            elif box <= 10**5 and (k >= 1 or box <= 4096):
+                with monkeypatch.context() as mp:
+                    mp.setattr(config, "_is_forest", lambda *args: False)
+                    assert fast is is_numerically_k_connected(cfg, None, k), (name, k)
+            else:
+                continue
+            compared += 1
+    assert (forests_seen, compared) == (393, 1008)
+
+
+def test_forest_dp_runs_without_numpy():
+    # an I8* near-miss: a tree over 314,928 decompositions that the scan
+    # could only decide in numpy blocks
+    fiber = kodaira_fiber("I8*")
+    lowered = Node(fiber.nodes[0].id, fiber.nodes[0].self_int - 1, mult=fiber.nodes[0].mult)
+    cfg = CurveConfiguration((lowered,) + fiber.nodes[1:], fiber.edges)
+    assert _box(cfg) > config._VECTORIZE_THRESHOLD and config._is_forest(cfg, cfg._support(None))
+    assert not _uses_numpy(lambda: is_numerically_k_connected(cfg, None, 1))
+    assert is_numerically_k_connected(cfg, None, 1)
+
+
 # ------------------------------------------ the dense implementation as oracle
 # Test-local copies of the dense-Gram code that ``CurveConfiguration.adjacency``
 # replaced: components by scanning the whole support per vertex, pairings over

@@ -53,6 +53,13 @@ def test_negative_hirzebruch_rejected():
         Hirzebruch(-1)
 
 
+def test_make_lattice_refuses_a_base_that_is_not_an_instance():
+    # the class P2 in place of P2() used to build a Hirzebruch-headed lattice
+    for base in (P2, "P2", None):
+        with pytest.raises(ValueError, match="P2 or Hirzebruch instance"):
+            make_lattice(base, 2)
+
+
 def test_pair_bilinear_symmetric():
     rng = random.Random(7)
     lat = make_lattice(P2(), 6)
