@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import UNDETERMINED, CurveConfiguration, check_snc, divisor_pa
 from .fibers import fiber_family
@@ -55,6 +56,10 @@ class RationalTypeInput:
     m: int
     components: tuple[Component, ...]
     marked_point: MarkedPoint | None = None
+    # role -> positions of its components, in input order
+    _at: dict = field(init=False, repr=False, compare=False, hash=False)
+    # positions of the components through p1
+    _on: frozenset = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -62,10 +67,12 @@ class RationalTypeInput:
         if self.m < 0:
             raise ValueError("m must be >= 0")
         base_lat = make_lattice(self.y_min, 0)
-        m1s = [c for c in self.components if c.role == "M1"]
-        if len(m1s) != 1:
+        at = {"M1": [], "G": [], "H": []}
+        for i, c in enumerate(self.components):
+            at[c.role].append(i)
+        if len(at["M1"]) != 1:
             raise ValueError("need exactly one mobile component (role M1)")
-        if m1s[0].g != self.k:
+        if self.components[at["M1"][0]].g != self.k:
             raise ValueError("the mobile component's coefficient must equal k")
         for c in self.components:
             if c.cls.lattice != base_lat:
@@ -73,26 +80,30 @@ class RationalTypeInput:
                     f"component class {c.cls} does not live in the lattice of the "
                     "declared minimal surface"
                 )
+        on = ()
         if self.marked_point is not None:
-            for i in self.marked_point.on:
+            on = self.marked_point.on
+            for i in on:
                 if not 0 <= i < len(self.components):
                     raise ValueError(f"marked point references component {i}")
+        object.__setattr__(self, "_at", {role: tuple(ix) for role, ix in at.items()})
+        object.__setattr__(self, "_on", frozenset(on))
 
     @property
     def mobile(self) -> Component:
-        return self.components[self.at("M1")[0]]
+        return self.components[self._at["M1"][0]]
 
-    def at(self, role: str) -> list[int]:
+    def at(self, role: str) -> tuple[int, ...]:
         """Positions of the components of ``role``: equal components are
         distinct curves, told apart by position only."""
-        return [i for i, c in enumerate(self.components) if c.role == role]
+        return self._at.get(role, ())
 
     def parts(self, role: str) -> list[Component]:
         return [self.components[i] for i in self.at(role)]
 
     def on_p1(self, i: int) -> bool:
         """Whether component ``i`` passes through the marked point."""
-        return self.marked_point is not None and i in self.marked_point.on
+        return i in self._on
 
     def to_json(self) -> dict:
         data = {
@@ -188,11 +199,41 @@ class RationalCaseReport:
         }
 
 
+class _Shared(NamedTuple):
+    """What every candidate case reads of one input, computed once."""
+
+    gamma: str  # Gamma = sum g_i C_i
+    minus_2k: str
+    m1_square: int
+    g_m1: tuple[int, ...]  # G_i . M1, in the order of the G components
+    fixed_part_pairing: int  # sum g_i G_i . M1
+    shapes: dict[str, str]  # "G", "H" -> sorted "<g>x<shape>" terms joined by "+", or "none"
+
+
+def _shared(inp: RationalTypeInput) -> _Shared:
+    # in the order the first case's rows read them (Gamma term by term, M1^2,
+    # then each G_i . M1), so an OverflowError names the first value of that
+    # order to leave the 64-bit range
+    lat = make_lattice(inp.y_min, 0)
+    gamma = lat.zero()
+    for c in inp.components:
+        gamma = gamma + c.g * c.cls
+    minus_2k = -2 * lat.canonical
+    m1 = inp.mobile.cls
+    m1_square = m1.self_intersection()
+    gs = inp.parts("G")
+    g_m1 = tuple(pair(c.cls, m1) for c in gs)
+    fixed = sum(c.g * p for c, p in zip(gs, g_m1))
+    shapes = {role: _roles_multiset(inp, role) for role in ("G", "H")}
+    return _Shared(str(gamma), str(minus_2k), m1_square, g_m1, fixed, shapes)
+
+
 class _Rows:
     """Constraint accumulator for one candidate case."""
 
-    def __init__(self, case: int):
+    def __init__(self, case: int, shared: _Shared):
         self.case = case
+        self.shared = shared
         self.rows: list[ConstraintCheck] = []
 
     def check(self, name: str, actual, required, passed=None) -> bool:
@@ -223,23 +264,12 @@ def _shape_name(inp: RationalTypeInput, cls: DivisorClass) -> str:
     return f"class({a}f+{b}s0)"
 
 
-def _minus_2k(inp: RationalTypeInput) -> DivisorClass:
-    return -2 * make_lattice(inp.y_min, 0).canonical
-
-
-def _gamma(inp: RationalTypeInput) -> DivisorClass:
-    total = make_lattice(inp.y_min, 0).zero()
-    for c in inp.components:
-        total = total + c.g * c.cls
-    return total
-
-
 def _common_rows(rows: _Rows, inp: RationalTypeInput, mk_required, marked_on_m1: bool):
     """Constraints shared by every case: class identity and m bookkeeping."""
-    rows.check("anticanonical-class", str(_gamma(inp)), str(_minus_2k(inp)))
+    shared = rows.shared
+    rows.check("anticanonical-class", shared.gamma, shared.minus_2k)
     rows.check("case-mk", (inp.m, inp.k), mk_required, (inp.m, inp.k) in mk_required)
-    m1 = inp.mobile
-    m_down = m1.cls.self_intersection()
+    m_down = shared.m1_square
     expect_p1 = 1 if marked_on_m1 else 0
     rows.check(
         "mobile-self-intersection",
@@ -250,19 +280,12 @@ def _common_rows(rows: _Rows, inp: RationalTypeInput, mk_required, marked_on_m1:
     if marked_on_m1:
         on = inp.on_p1(inp.at("M1")[0])
         rows.check("marked-point-on-mobile", "p1 on M1" if on else "p1 not on M1", "p1 on M1", on)
-    for c in inp.parts("G"):
-        rows.check(
-            "section-pairing-bound",
-            pair(c.cls, m1.cls),
-            "<= 2",
-            pair(c.cls, m1.cls) <= 2,
-        )
+    for p in shared.g_m1:
+        rows.check("section-pairing-bound", p, "<= 2", p <= 2)
 
 
-def _fixed_part_pairing(rows: _Rows, inp: RationalTypeInput):
-    m1 = inp.mobile
-    total = sum(c.g * pair(c.cls, m1.cls) for c in inp.parts("G"))
-    rows.check("fixed-part-pairing", total, 4 + m1.cls.self_intersection())
+def _fixed_part_pairing(rows: _Rows):
+    rows.check("fixed-part-pairing", rows.shared.fixed_part_pairing, 4 + rows.shared.m1_square)
 
 
 def _scroll_rows(rows: _Rows, inp: RationalTypeInput):
@@ -322,8 +345,8 @@ def _case_1(inp, rows):
     g_at, h_at = inp.at("G"), inp.at("H")
     _common_rows(rows, inp, [(0, 1)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "2xconic")
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "1xline")
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "2xconic")
+    rows.check("residual-shape", rows.shared.shapes["H"], "1xline")
     if g_at and h_at:
         _incidence_row(rows, inp, {h_at[0]: True, g_at[0]: False})
     return ["M1 and H1 are distinct lines", "Supp Gamma is simple normal crossing"]
@@ -333,7 +356,7 @@ def _case_2(inp, rows):
     gs, hs = inp.parts("G"), inp.parts("H")
     _common_rows(rows, inp, [(0, 1), (0, 2)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "2xline")
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "2xline")
     rows.check(
         "residual-shape",
         all(_is(inp, h, "line") for h in hs) and bool(hs),
@@ -351,8 +374,8 @@ def _case_3(inp, rows):
     g_at, h_at = inp.at("G"), inp.at("H")
     _common_rows(rows, inp, [(0, 1)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "2xconic")
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "1xline")
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "2xconic")
+    rows.check("residual-shape", rows.shared.shapes["H"], "1xline")
     if g_at and h_at:
         _incidence_row(rows, inp, {h_at[0]: True, g_at[0]: True})
     return [
@@ -365,7 +388,7 @@ def _case_4(inp, rows):
     hs = inp.parts("H")
     _common_rows(rows, inp, [(0, kk) for kk in range(1, 7)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "none")
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "none")
     rows.check(
         "residual-shape", all(_is(inp, h, "line") for h in hs) and bool(hs), True
     )
@@ -381,14 +404,14 @@ def _case_5(inp, rows):
     conics = [c for c in gs if _is(inp, c, "conic")]
     lines = [c for c in gs if _is(inp, c, "line")]
     rows.check("fixed-part-shape", len(conics) == 1 and len(lines) == len(gs) - 1, True)
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     if conics:
         g1 = conics[0].g
         rows.check("conic-coefficient", g1, "1 or 2", g1 in (1, 2))
         rows.check(
             "coefficient-sum", 2 * g1 + sum(c.g for c in lines), 5
         )
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     return ["Sing(sum G_i) is disjoint from M1", "the lines are distinct curves"]
 
 
@@ -399,9 +422,9 @@ def _case_6(inp, rows):
     rows.check(
         "fixed-part-shape", all(_is(inp, c, "line") for c in gs) and bool(gs), True
     )
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     rows.check("coefficient-sum", sum(c.g for c in gs), 5)
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     return [
         "the J+1 lines are distinct",
         "no two G_i share a point on M1",
@@ -412,13 +435,13 @@ def _case_7(inp, rows):
     g_at = inp.at("G")
     _common_rows(rows, inp, [(3, 1)], marked_on_m1=True)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "conic")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "1xline+3xline")
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "1xline+3xline")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     triple = [i for i in g_at if inp.components[i].g == 3]
     single = [i for i in g_at if inp.components[i].g == 1]
     if triple and single:
         _incidence_row(rows, inp, {single[0]: True, triple[0]: False})
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     return ["the two lines are distinct", "Supp Gamma is simple normal crossing"]
 
 
@@ -429,7 +452,7 @@ def _case_8(inp, rows):
     rows.check(
         "fixed-part-shape", all(_is(inp, c, "line") for c in gs) and bool(gs), True
     )
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     rows.check("coefficient-sum", sum(c.g for c in gs), 4)
     off = [i for i in inp.at("G") if not inp.on_p1(i)]
     rows.check(
@@ -442,7 +465,7 @@ def _case_8(inp, rows):
         g1 = inp.components[off[0]].g
         rows.check("off-point-coefficient", g1, "1 or 2", g1 in (1, 2))
         _incidence_row(rows, inp, {i: i not in off for i in inp.at("G")})
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     return [
         "the G_j through p1 meet M1 transversally there and at one other point each",
         "G_1 meets M1 at two points away from every M1 . G_j",
@@ -452,9 +475,9 @@ def _case_8(inp, rows):
 def _case_9(inp, rows):
     _common_rows(rows, inp, [(4, 1)], marked_on_m1=False)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "conic")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "4xline")
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
-    _fixed_part_pairing(rows, inp)
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "4xline")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
+    _fixed_part_pairing(rows)
     return ["the line meets the conic at two distinct points"]
 
 
@@ -465,7 +488,7 @@ def _split_fibers(inp, comps):
     """Partition Hirzebruch G-components into (f-ruling, other-ruling, rest)."""
     f_fibers = [c for c in comps if c.cls.coeffs[:2] == (1, 0)]
     s_fibers = [c for c in comps if c.cls.coeffs[:2] == (0, 1)]
-    rest = [c for c in comps if c not in f_fibers and c not in s_fibers]
+    rest = [c for c in comps if c.cls.coeffs[:2] not in ((1, 0), (0, 1))]
     return f_fibers, s_fibers, rest
 
 
@@ -473,9 +496,9 @@ def _case_10(inp, rows):
     gs = inp.parts("G")
     _common_rows(rows, inp, [(2, 1)], marked_on_m1=False)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "section(1f+s0)")
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     sections = [c for c in gs if c.cls.coeffs[:2] == (1, 1)]
-    f_fib, s_fib, rest = _split_fibers(inp, [c for c in gs if c not in sections])
+    f_fib, s_fib, rest = _split_fibers(inp, [c for c in gs if c.cls.coeffs[:2] != (1, 1)])
     rows.check("fixed-part-shape", len(sections) == 1 and not rest, True)
     if sections:
         g1 = sections[0].g
@@ -485,7 +508,7 @@ def _case_10(inp, rows):
             (sum(c.g for c in f_fib), sum(c.g for c in s_fib)),
             (3 - g1, 3 - g1),
         )
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     _scroll_rows(rows, inp)
     return [
         "M1 and G1 meet at two distinct points",
@@ -498,7 +521,7 @@ def _case_11(inp, rows):
     gs = inp.parts("G")
     _common_rows(rows, inp, [(2, 1)], marked_on_m1=False)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "section(1f+s0)")
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     f_fib, s_fib, rest = _split_fibers(inp, gs)
     rows.check("fixed-part-shape", not rest and bool(gs), True)
     rows.check(
@@ -506,7 +529,7 @@ def _case_11(inp, rows):
         (sum(c.g for c in f_fib), sum(c.g for c in s_fib)),
         (3, 3),
     )
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     _scroll_rows(rows, inp)
     return [
         "no point lies on fibers of both rulings and M1 simultaneously",
@@ -528,14 +551,14 @@ def _case_12(inp, rows):
     rows.check("residual-count", h, "0..3", 0 <= h <= 3)
     sections = [c for c in gs if c.cls.coeffs[:2] == (2, 1)]
     fibers = [c for c in gs if c.cls.coeffs[:2] == (1, 0)]
-    rest = [c for c in gs if c not in sections and c not in fibers]
+    rest = [c for c in gs if c.cls.coeffs[:2] not in ((2, 1), (1, 0))]
     g1 = sum(c.g for c in sections)
     rows.check(
         "fixed-part-shape", len(sections) <= 1 and not rest, True
     )
     rows.check("section-coefficient", g1, 3 - h)
     rows.check("fiber-sum", sum(c.g for c in fibers), 2 * h)
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     _scroll_rows(rows, inp)
     return [
         "M1 and G1 meet at two distinct points",
@@ -550,7 +573,7 @@ def _case_13(inp, rows):
     _common_rows(rows, inp, [(0, kk) for kk in range(1, 2 * (b + 2))], marked_on_m1=False)
     rows.check("minimal-model", f"b = {b}", "b >= 2", b >= 2)
     rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "fiber")
-    rows.check("fixed-part-shape", _roles_multiset(inp, "G"), "4xnegative-section")
+    rows.check("fixed-part-shape", rows.shared.shapes["G"], "4xnegative-section")
     rows.check(
         "residual-shape", all(_is(inp, h, "fiber") for h in hs), True
     )
@@ -566,17 +589,15 @@ def _section_case(inp, rows, b_required, g1_required, fiber_sum, pairing):
     rows.check("minimal-model", f"b = {b}", f"b = {b_required}", b == b_required)
     # the section class a f + s0 with a = (m + b)/2 reproduces M1^2 = m
     rows.check("mobile-shape", inp.mobile.cls.coeffs[:2], ((inp.m + b_required) // 2, 1))
-    sections = [c for c in gs if c.cls.coeffs[:2] == (0, 1)]
+    sections = [j for j, c in enumerate(gs) if c.cls.coeffs[:2] == (0, 1)]
     fibers = [c for c in gs if c.cls.coeffs[:2] == (1, 0)]
-    rest = [c for c in gs if c not in sections and c not in fibers]
+    rest = [c for c in gs if c.cls.coeffs[:2] not in ((0, 1), (1, 0))]
     rows.check("fixed-part-shape", len(sections) == 1 and not rest, True)
     if sections:
-        rows.check("section-coefficient", sections[0].g, g1_required)
-        rows.check(
-            "section-mobile-pairing", pair(sections[0].cls, inp.mobile.cls), pairing
-        )
+        rows.check("section-coefficient", gs[sections[0]].g, g1_required)
+        rows.check("section-mobile-pairing", rows.shared.g_m1[sections[0]], pairing)
     rows.check("fiber-sum", sum(c.g for c in fibers), fiber_sum)
-    _fixed_part_pairing(rows, inp)
+    _fixed_part_pairing(rows)
     _scroll_rows(rows, inp)
 
 
@@ -584,7 +605,7 @@ def _case_14(inp, rows):
     _common_rows(rows, inp, [(inp.m, 1)] if inp.m >= 3 else [], marked_on_m1=False)
     rows.check("mobile-degree-range", inp.m, ">= 3", inp.m >= 3)
     _section_case(inp, rows, inp.m - 2, 3, inp.m + 1, 1)
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     return ["no fiber G_j passes through M1 . G1", "fibers are distinct curves"]
 
 
@@ -592,7 +613,7 @@ def _case_15(inp, rows):
     _common_rows(rows, inp, [(inp.m, 1)] if inp.m >= 4 else [], marked_on_m1=False)
     rows.check("mobile-degree-range", inp.m, ">= 4", inp.m >= 4)
     _section_case(inp, rows, inp.m - 4, 3, inp.m - 2, 2)
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "none")
+    rows.check("residual-shape", rows.shared.shapes["H"], "none")
     return [
         "M1 meets G1 at two distinct points",
         "no fiber G_j passes through M1 . G1",
@@ -611,8 +632,8 @@ def _case_16(inp, rows):
         "fixed-part-shape", all(_is(inp, c, "fiber") for c in gs) and bool(gs), True
     )
     rows.check("fiber-sum", sum(c.g for c in gs), inp.m + 4)
-    rows.check("residual-shape", _roles_multiset(inp, "H"), "3xnegative-section")
-    _fixed_part_pairing(rows, inp)
+    rows.check("residual-shape", rows.shared.shapes["H"], "3xnegative-section")
+    _fixed_part_pairing(rows)
     _scroll_rows(rows, inp)
     return ["fibers are distinct curves"]
 
@@ -647,8 +668,9 @@ def match_rational_case(inp: RationalTypeInput) -> RationalCaseReport:
         candidates = _P2_CASES
     else:
         candidates = _RULED_CASES
+    shared = _shared(inp)
     for case, fn in sorted(candidates.items()):
-        rows = _Rows(case)
+        rows = _Rows(case, shared)
         clauses = fn(inp, rows)
         log.extend(rows.rows)
         if rows.ok:

@@ -9,6 +9,7 @@ machine-readable output.  Exit codes: 0 success / all checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -234,7 +235,11 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``coble`` parser, built on first use and shared afterwards:
+    ``parse_args`` fills a new namespace on each call and leaves the parser
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="coble",
         description="Exact integer computations for rational surfaces with "
@@ -287,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

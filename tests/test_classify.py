@@ -1,5 +1,6 @@
 """Sixteen-case matcher: golden instances, minimal perturbations, predicates."""
 
+import hashlib
 import json
 
 import pytest
@@ -252,6 +253,59 @@ PERTURBED = {
         "residual-shape",
     ),
 }
+
+
+# Pinned reports: a change to any row's text, order or verdict, to the
+# matched cases or to the assumed clauses changes the hash.
+REPORT_SHA256 = {
+    ("golden", 1): "f010f4cc5c4568e9afb691e8b3d710f5b0aebc795c677a5b529aa6cf74a62cac",
+    ("golden", 2): "e2f517b6a275d386d2456c327588dea92b111c0c160e3a27ab56cfbbe79e0c52",
+    ("golden", 3): "8cbb751188fa71ef685d4cdedf7425b60929a40baca83402623eba829c35ba4c",
+    ("golden", 4): "6de876019cc436df00cf72ac518282cf81c2665251c16759fa826db4e510c7c0",
+    ("golden", 5): "e44ab6926e538160a28dd827c602fd86b52e4b8e3cc9a0ea8d299b89dc16f7c8",
+    ("golden", 6): "7727d0649baf472c012a6d07866e76b0e2cae43263e3b3862754e88e1d4942b1",
+    ("golden", 7): "2b31603cb3eb855390690a2c702af94dfd4b2a416e2ecc377e64401a15c1d5ee",
+    ("golden", 8): "696197e2fe29eff50b2ff373ec2dc4f765a72ddf2dc8f41b9df1f1ac1544b9a4",
+    ("golden", 9): "62baacf075c1e0aa57ef747d4873c30bbf19c30dbe8d557ffe34eb84051d54a4",
+    ("golden", 10): "a1d92061bb8b5d8f461c401a7278cfbe6e84c8c124cdeaf62ffba974d47bf0b2",
+    ("golden", 11): "5982e4c54103c02c07df09a461f1108ae90bfdf006ccf926987af2879877572a",
+    ("golden", 12): "c06045eb5511c6c96d319004fae94ce4b18205c3ca8397843498467a9c3904f3",
+    ("golden", 13): "12d04a674d17feb0a07a30127d0e763243a06d13c0d979e444663888a2612a1f",
+    ("golden", 14): "fab61b52ef6ce071c6d9a9a5db4c28234682b6b05649217620c17ad9fee9519b",
+    ("golden", 15): "31442cf6a66398644d7ec57649cf2afb381dcb140d501b6ee457cb62a9425360",
+    ("golden", 16): "3f399e25252c49030c27375554a5503a513a301b803993c0b8eb9d49bb6571d4",
+    ("perturbed", 1): "e8211a812d670230a66075223d624685605f955cd70a4741be36c873d7e5df29",
+    ("perturbed", 2): "cf4ab2c6bb0177201dd5e0e940a06777d82dfb26c87e99ee591cb2e7b05ece97",
+    ("perturbed", 3): "2881ada446985bfd0aec8cf12af0d4b98f3fde26701ca3197600fdcb8bf5655b",
+    ("perturbed", 4): "c0ccb914585f9cd4bfd1242c261daf133ca8f7ed57ff489e87c0ded0385d8a84",
+    ("perturbed", 5): "a19876e13a96be78bc40b2377e6107981f0724cf0e623ed8ec46ba5af61d2359",
+    ("perturbed", 6): "d1709f145b42d743d18fefd9c42d77ad2d7865095ed0f299e58e7f4ca50fdc38",
+    ("perturbed", 7): "bd7980cab7f049a8a6a006e669db5e556a670329adedb91ddc75ccc9997aa318",
+    ("perturbed", 8): "9b74e6db7a4a1ce085b25db5bb5e4b3fce0de129b3321a7881e038329d911f68",
+    ("perturbed", 9): "e94016b99df84568ec473ceb95a89eed321e892373dbfca6c18af1aabbe0be44",
+    ("perturbed", 10): "39451819b070b1bd124a9eb1047422d4cc24c82f9ce6b7b1aa47f62f51c8f9bd",
+    ("perturbed", 11): "d2c59c6983148abada64c5e06407eebecb06ca269f95e8ee9dca01ce3b16b409",
+    ("perturbed", 12): "9300311fc6262272519efd6f7dbcce04b32f56d7dafcf5731f9d96deff8e1248",
+    ("perturbed", 13): "051bcccf432a0c926c95c6fba83133afed88ffff320f3ec08e8218a0ca22a8ad",
+    ("perturbed", 14): "627e08274ed318bf49228ed6069e3b458575a395baa31771e21c5341d0231238",
+    ("perturbed", 15): "15a66c30bfdf383c35ccc23f4c2669de1fb567c7a1ff901c1ed8787d9f465a99",
+    ("perturbed", 16): "9f5b958d4bff790ab2ec7847308c97058c7de968b7a5ffed321e6d3bc6be14ec",
+    ("lines-through-p1", 2000): "4bb6b066a91042a632c237d9ffb160023e8212a5c5e2c6c1b27e2bd25041849a",
+}
+INPUTS = {
+    **{("golden", c): inp for c, inp in GOLDEN.items()},
+    **{("perturbed", c): inp for c, (inp, _) in PERTURBED.items()},
+    # one mobile line and 2,000 residual lines, every one through p1
+    ("lines-through-p1", 2000): RationalTypeInput(
+        P2(), 1, 0, (C("M1", 1, LINE),) + (C("H", 1, LINE),) * 2000, MarkedPoint(tuple(range(2001)))
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_SHA256, key=str), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_report_bytes_are_pinned(key):
+    text = json.dumps(match_rational_case(INPUTS[key]).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[key]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
