@@ -7,27 +7,10 @@ entry's parameters and their defaults; a static entry's builder takes
 none.
 
 ``verify_example`` builds an entry, recomputes every claim and reports
-each comparison.  The claim language:
-
-  class-identity       {sequence, lhs, rhs}            -> bool
-  combination-square   {sequence, terms}               -> int
-  combination-genus    {sequence, terms}               -> int
-  all-squares          {sequence, curves}              -> sorted distinct squares
-  pairing              {sequence, a, b}                -> int
-  k-squared            {sequence}                      -> int
-  blow-down-chain      {sequence, contract, track?,
-                        extra_blowups?}                -> {k_squared, track_square}
-  disjoint-minus-ones  {sequence, curves}              -> bool
-  section-pattern      {sequence, sections, fiber}     -> bool
-  fiber-type           {configuration}                 -> name or None
-  k3-type              {configuration}                 -> bool
-  log-enriques         {configuration}                 -> bool
-  terminal             {configuration}                 -> bool
-  minimality           {configuration, member, e}      -> verdict string
-  match-case           {input}                         -> matched case numbers
-  jacobian-bound       {fiber, g}                      -> bool
-  halphen-k3           {fibers}                        -> bool
-  reduce               {vector}                        -> final shape description
+each comparison.  ``CHECKS`` is the claim language: it maps each check
+name to its evaluator, whose parameters are the claim's arguments.  A
+``sequence`` argument is a builder's ``(BlowUpSequence, assignments)``
+pair and a ``configuration`` argument a ``CurveConfiguration``.
 
 Linear combinations are lists of (name, coefficient) terms in the term
 language of ``blowup.combination``, which evaluates them.  Inside a dict
@@ -49,7 +32,6 @@ from .classify import (
     log_enriques_shape,
     match_rational_case,
     minimality_check,
-    terminal_shape,
 )
 from .cremona import noether_reduce, parse_vector
 from .fibers import recognize_fiber
@@ -80,7 +62,7 @@ def _matches(actual, expected) -> bool:
     return actual == expected
 
 
-def _blow_down_chain(seq, assignments, contract, track=None, extra_blowups=0):
+def _blow_down_chain(sequence, contract, track=None, extra_blowups=0):
     """Contract a list of curves in order, tracking one extra class.
 
     Each listed combination must have self-intersection -1 at its turn
@@ -97,25 +79,25 @@ def _blow_down_chain(seq, assignments, contract, track=None, extra_blowups=0):
         return cls
 
     for raw in contract:
-        cur = push_down(combination(seq, assignments, raw))
+        cur = push_down(combination(*sequence, raw))
         if cur.self_intersection() != -1:
             raise ValueError(
                 f"chain step {raw!r} has self-intersection "
                 f"{cur.self_intersection()}, not -1"
             )
         done.append(cur)
-    k_squared = seq.k_squared() + len(done) - int(extra_blowups)
+    k_squared = sequence[0].k_squared() + len(done) - int(extra_blowups)
     track_square = None
     if track is not None:
-        track_square = push_down(combination(seq, assignments, track)).self_intersection()
+        track_square = push_down(combination(*sequence, track)).self_intersection()
     return {"k_squared": k_squared, "track_square": track_square}
 
 
-def _section_pattern(seq, assignments, sections, fiber) -> bool:
-    f = combination(seq, assignments, fiber)
+def _section_pattern(sequence, sections, fiber) -> bool:
+    f = combination(*sequence, fiber)
     if f.self_intersection() != 0:
         return False
-    classes = [combination(seq, assignments, s) for s in sections]
+    classes = [combination(*sequence, s) for s in sections]
     for i, s in enumerate(classes):
         if s.self_intersection() != -1 or pair(s, f) != 1:
             return False
@@ -124,8 +106,8 @@ def _section_pattern(seq, assignments, sections, fiber) -> bool:
     return True
 
 
-def _disjoint_minus_ones(seq, assignments, curves) -> bool:
-    classes = [combination(seq, assignments, c) for c in curves]
+def _disjoint_minus_ones(sequence, curves) -> bool:
+    classes = [combination(*sequence, c) for c in curves]
     return all(c.self_intersection() == -1 for c in classes) and all(
         pair(a, b) == 0
         for i, a in enumerate(classes)
@@ -133,55 +115,35 @@ def _disjoint_minus_ones(seq, assignments, curves) -> bool:
     )
 
 
-def run_check(check: str, args: dict, sequences: dict, configurations: dict):
+# check name -> evaluator; a claim's args are the evaluator's keyword arguments
+CHECKS = {
+    "class-identity": lambda sequence, lhs, rhs: bool(verify_class_identity(*sequence, lhs, rhs)),
+    "combination-square": lambda sequence, terms: combination(*sequence, terms).self_intersection(),
+    "combination-genus": lambda sequence, terms: arithmetic_genus(combination(*sequence, terms)),
+    "all-squares": lambda sequence, curves: sorted(
+        {combination(*sequence, c).self_intersection() for c in curves}
+    ),
+    "pairing": lambda sequence, a, b: pair(combination(*sequence, a), combination(*sequence, b)),
+    "k-squared": lambda sequence: sequence[0].k_squared(),
+    "blow-down-chain": _blow_down_chain,
+    "disjoint-minus-ones": _disjoint_minus_ones,
+    "section-pattern": _section_pattern,
+    "fiber-type": lambda configuration: recognize_fiber(configuration),
+    "k3-type": lambda configuration: is_k3_type(configuration).is_k3_type,
+    "log-enriques": lambda configuration: log_enriques_shape(configuration).ok,
+    "minimality": lambda configuration, member, e: minimality_check(configuration, member, e).verdict,
+    "match-case": lambda input: list(match_rational_case(input_from_json(input)).matched_cases),
+    "jacobian-bound": lambda fiber, g: jacobian_bound_check(fiber, g).ok,
+    "halphen-k3": lambda fibers: halphen_k3_predicate(*fibers),
+    "reduce": lambda vector: noether_reduce(parse_vector(vector)).final.describe(),
+}
+
+
+def run_check(check: str, args: dict):
     """Evaluate one claim; returns the actual value the claim compares."""
-    if check == "class-identity":
-        return bool(verify_class_identity(*sequences[args["sequence"]], args["lhs"], args["rhs"]))
-    if check == "combination-square":
-        return combination(*sequences[args["sequence"]], args["terms"]).self_intersection()
-    if check == "combination-genus":
-        return arithmetic_genus(combination(*sequences[args["sequence"]], args["terms"]))
-    if check == "all-squares":
-        seq, asg = sequences[args["sequence"]]
-        return sorted({combination(seq, asg, c).self_intersection() for c in args["curves"]})
-    if check == "pairing":
-        seq, asg = sequences[args["sequence"]]
-        return pair(combination(seq, asg, args["a"]), combination(seq, asg, args["b"]))
-    if check == "k-squared":
-        return sequences[args["sequence"]][0].k_squared()
-    if check == "blow-down-chain":
-        return _blow_down_chain(
-            *sequences[args["sequence"]],
-            args["contract"],
-            args.get("track"),
-            args.get("extra_blowups", 0),
-        )
-    if check == "disjoint-minus-ones":
-        return _disjoint_minus_ones(*sequences[args["sequence"]], args["curves"])
-    if check == "section-pattern":
-        return _section_pattern(*sequences[args["sequence"]], args["sections"], args["fiber"])
-    if check == "fiber-type":
-        return recognize_fiber(configurations[args["configuration"]])
-    if check == "k3-type":
-        return is_k3_type(configurations[args["configuration"]]).is_k3_type
-    if check == "log-enriques":
-        return log_enriques_shape(configurations[args["configuration"]]).ok
-    if check == "terminal":
-        return terminal_shape(configurations[args["configuration"]])
-    if check == "minimality":
-        verdict = minimality_check(
-            configurations[args["configuration"]], args["member"], args["e"]
-        )
-        return verdict.verdict
-    if check == "match-case":
-        return list(match_rational_case(input_from_json(args["input"])).matched_cases)
-    if check == "jacobian-bound":
-        return jacobian_bound_check(args["fiber"], args["g"]).ok
-    if check == "halphen-k3":
-        return halphen_k3_predicate(*args["fibers"])
-    if check == "reduce":
-        return noether_reduce(parse_vector(args["vector"])).final.describe()
-    raise KeyError(f"unknown check {check!r}")
+    if check not in CHECKS:
+        raise KeyError(f"unknown check {check!r}")
+    return CHECKS[check](**args)
 
 
 @dataclass(frozen=True)
@@ -247,7 +209,7 @@ def verify_example(name: str, params: dict | None = None) -> ExampleReport:
     bundle = builder(**merged)
     results = []
     for claim in bundle.claims:
-        actual = run_check(claim["check"], claim["args"], bundle.sequences, bundle.configurations)
+        actual = run_check(claim["check"], claim["args"])
         results.append(
             ClaimResult(
                 description=claim["description"],
@@ -270,7 +232,7 @@ def catalog_summary() -> list[dict]:
         bundle = builder()
         out.append(
             {
-                "name": bundle.name,
+                "name": name,
                 "description": bundle.description,
                 "parametric": bool(defaults),
                 "parameters": defaults,

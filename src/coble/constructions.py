@@ -11,9 +11,11 @@ each expected value that varies as a closed form in its parameters,
 never read back from what it built; ``catalog.verify_example`` recomputes
 every claim and compares.
 
-Claim args reference sequences and configurations by name.  Linear
-combinations of divisor classes are lists of (name, coefficient) pairs in
-the term language of ``blowup.combination``.
+Claim args hold the objects a check reads: a ``sequence`` is the
+``(BlowUpSequence, assignments)`` pair that ``_seq`` returns and a
+``configuration`` is a ``CurveConfiguration``.  Linear combinations of
+divisor classes are lists of (name, coefficient) pairs in the term
+language of ``blowup.combination``.
 """
 
 from __future__ import annotations
@@ -37,10 +39,7 @@ MAX_BLOWUPS = 400
 
 @dataclass(frozen=True)
 class ExampleBundle:
-    name: str
     description: str
-    sequences: dict  # name -> (BlowUpSequence, {label: CurveAssignment})
-    configurations: dict  # name -> CurveConfiguration
     claims: tuple  # of claim dicts {description, check, args, expected}
 
 
@@ -98,7 +97,7 @@ def triangle_pencil() -> ExampleBundle:
     one triangle node yields a surface with an isolated bi-anticanonical
     pencil of self-intersection 6 and K^2 = -1.
     """
-    seq, assignments = _seq(P2(), _TRIANGLE_CENTERS, _TRIANGLE_CURVES)
+    V = seq, assignments = _seq(P2(), _TRIANGLE_CENTERS, _TRIANGLE_CURVES)
     hexagon = configuration_from_classes(
         [("L1", proper_transform(seq, assignments["L1"]), 0, 1),
          ("L2", proper_transform(seq, assignments["L2"]), 0, 1),
@@ -119,25 +118,25 @@ def triangle_pencil() -> ExampleBundle:
     tri_member = [["L4", 1], ["L5", 1], ["L6", 1]]
     claims = (
         _claim("the hexagon member has cycle fiber type I6",
-               "fiber-type", {"configuration": "hexagon-fiber"}, "I6"),
+               "fiber-type", {"configuration": hexagon}, "I6"),
         _claim("the triangle member has cycle fiber type I3",
-               "fiber-type", {"configuration": "triangle-fiber"}, "I3"),
+               "fiber-type", {"configuration": triangle}, "I3"),
         _claim("hexagon components plus three exceptional curves sum to the anticanonical class",
                "class-identity",
-               {"sequence": "V", "lhs": hex_member, "rhs": [["K", -1]]}, True),
+               {"sequence": V, "lhs": hex_member, "rhs": [["K", -1]]}, True),
         _claim("the triangle's proper transforms alone sum to the anticanonical class",
                "class-identity",
-               {"sequence": "V", "lhs": tri_member, "rhs": [["K", -1]]}, True),
+               {"sequence": V, "lhs": tri_member, "rhs": [["K", -1]]}, True),
         _claim("six exceptional curves are disjoint sections of the genus-1 pencil",
                "section-pattern",
-               {"sequence": "V", "sections": sections, "fiber": fiber}, True),
+               {"sequence": V, "sections": sections, "fiber": fiber}, True),
         _claim("contracting the six sections raises the pencil class square to 6",
                "blow-down-chain",
-               {"sequence": "V", "contract": sections, "track": fiber},
+               {"sequence": V, "contract": sections, "track": fiber},
                {"k_squared": 6, "track_square": 6}),
         _claim("six further blow-ups on the hexagon plus one on the triangle leave K^2 = -1",
                "blow-down-chain",
-               {"sequence": "V", "contract": sections, "extra_blowups": 7},
+               {"sequence": V, "contract": sections, "extra_blowups": 7},
                {"k_squared": -1, "track_square": None}),
         _claim("six depth-1 towers over the reduced cycle fiber satisfy the section bounds",
                "jacobian-bound", {"fiber": "I6", "g": [1, 1, 1, 1, 1, 1]}, True),
@@ -145,11 +144,8 @@ def triangle_pencil() -> ExampleBundle:
                "halphen-k3", {"fibers": ["I6", "I3"]}, True),
     )
     return ExampleBundle(
-        name="triangle-pencil",
         description="Cubic pencil through two special line triangles; hexagon and "
                     "triangle members, six disjoint sections, mobile square 6.",
-        sequences={"V": (seq, assignments)},
-        configurations={"hexagon-fiber": hexagon, "triangle-fiber": triangle},
         claims=claims,
     )
 
@@ -182,13 +178,13 @@ def two_star_fibers() -> ExampleBundle:
         "H1": ([1], {"q0": 1, "q1": 1, "q2": 1}),
         "H2": ([1], {"a1": 1, "a2": 1, "a3": 1}),
     }
-    seq_v, asg_v = _seq(P2(), v_centers, v_curves)
+    V = seq_v, asg_v = _seq(P2(), v_centers, v_curves)
     # the blown-up surface: two centers on the first star's double component,
     # one (the elliptic-type witness) on the second star's double component
     x_centers = v_centers + [("u1", "q0", ()), ("u2", "q0", ()), ("w", None, ("H2",))]
     x_curves = {k: (c, dict(m)) for k, (c, m) in v_curves.items()}
     x_curves["H2"][1]["w"] = 1
-    seq_x, asg_x = _seq(P2(), x_centers, x_curves)
+    Xprime = _seq(P2(), x_centers, x_curves)
     star1 = configuration_from_classes(
         [("L1", proper_transform(seq_v, asg_v["L1"]), 0, 1),
          ("L2", proper_transform(seq_v, asg_v["L2"]), 0, 1),
@@ -216,30 +212,30 @@ def two_star_fibers() -> ExampleBundle:
     }
     claims = (
         _claim("the three concurrent lines give a star fiber I0*",
-               "fiber-type", {"configuration": "star-fiber-1"}, "I0*"),
+               "fiber-type", {"configuration": star1}, "I0*"),
         _claim("the line plus double line gives a second star fiber I0*",
-               "fiber-type", {"configuration": "star-fiber-2"}, "I0*"),
+               "fiber-type", {"configuration": star2}, "I0*"),
         _claim("first star: components with multiplicities sum to the anticanonical class",
                "class-identity",
-               {"sequence": "V",
+               {"sequence": V,
                 "lhs": [["L1", 1], ["L2", 1], ["L3", 1], ["e':q0", 2], ["e':q1", 1]],
                 "rhs": [["K", -1]]}, True),
         _claim("second star: components with multiplicities sum to the anticanonical class",
                "class-identity",
-               {"sequence": "V",
+               {"sequence": V,
                 "lhs": [["H1", 1], ["H2", 2], ["e':a1", 1], ["e':a2", 1], ["e':a3", 1]],
                 "rhs": [["K", -1]]}, True),
         _claim("four exceptional curves are disjoint sections of the pencil",
                "section-pattern",
-               {"sequence": "V",
+               {"sequence": V,
                 "sections": [[["e:b1", 1]], [["e:b2", 1]], [["e:b3", 1]], [["e:q2", 1]]],
                 "fiber": [["K", -1]]}, True),
         _claim("after the three extra blow-ups, two disjoint (-1)-curves remain",
                "disjoint-minus-ones",
-               {"sequence": "Xprime", "curves": [[["e:w", 1]], [["e:b2", 1]]]}, True),
+               {"sequence": Xprime, "curves": [[["e:w", 1]], [["e:b2", 1]]]}, True),
         _claim("contracting one section and the leaf it meets leaves K^2 = -1",
                "blow-down-chain",
-               {"sequence": "Xprime", "contract": [[["e:b1", 1]], [["L1", 1]]]},
+               {"sequence": Xprime, "contract": [[["e:b1", 1]], [["L1", 1]]]},
                {"k_squared": -1, "track_square": None}),
         _claim("the direct image data fits the double-mobile sextic shape",
                "match-case", {"input": case2_input}, [2]),
@@ -249,11 +245,8 @@ def two_star_fibers() -> ExampleBundle:
                "halphen-k3", {"fibers": ["I0*", "I0*"]}, False),
     )
     return ExampleBundle(
-        name="two-star-fibers",
         description="Pencil with two I0* members; four sections; blow-ups and "
                     "blow-downs exhibit rational type with a doubled mobile line.",
-        sequences={"V": (seq_v, asg_v), "Xprime": (seq_x, asg_x)},
-        configurations={"star-fiber-1": star1, "star-fiber-2": star2},
         claims=claims,
     )
 
@@ -280,7 +273,7 @@ def three_lines_conic() -> ExampleBundle:
         "L3": ([1], {"p13": 1, "p23": 1, "x31": 1, "x32": 1}),
         "C": ([2], {"x11": 1, "x12": 1, "x21": 1, "x22": 1, "x31": 1, "x32": 1}),
     }
-    seq, assignments = _seq(P2(), centers, curves)
+    X = seq, assignments = _seq(P2(), centers, curves)
     lat = seq.lattice
     mobile_member = (
         3 * lat.basis_class("e0")
@@ -299,38 +292,35 @@ def three_lines_conic() -> ExampleBundle:
     claims = (
         _claim("the anticanonical class is the lifted line-triple member minus the tenth center",
                "class-identity",
-               {"sequence": "X",
+               {"sequence": X,
                 "lhs": [["L1", 1], ["L2", 1], ["L3", 1],
                         ["e:p12", 1], ["e:p13", 1], ["e:p23", 1], ["e:q", -1]],
                 "rhs": [["K", -1]]}, True),
         _claim("bi-anticanonical class = mobile part plus the three line transforms "
                "(less twice the tenth center)",
                "class-identity",
-               {"sequence": "X",
+               {"sequence": X,
                 "lhs": mobile + [["L1", 1], ["L2", 1], ["L3", 1], ["e:q", -2]],
                 "rhs": [["K", -2]]}, True),
         _claim("the mobile part has self-intersection 3",
-               "combination-square", {"sequence": "X", "terms": mobile}, 3),
+               "combination-square", {"sequence": X, "terms": mobile}, 3),
         _claim("the mobile part has arithmetic genus 1",
-               "combination-genus", {"sequence": "X", "terms": mobile}, 1),
+               "combination-genus", {"sequence": X, "terms": mobile}, 1),
         _claim("each line transform is a (-3)-curve",
                "all-squares",
-               {"sequence": "X", "curves": [[["L1", 1]], [["L2", 1]], [["L3", 1]]]},
+               {"sequence": X, "curves": [[["L1", 1]], [["L2", 1]], [["L3", 1]]]},
                [-3]),
         _claim("the conic transform is a (-2)-curve",
-               "combination-square", {"sequence": "X", "terms": [["C", 1]]}, -2),
-        _claim("K^2 = -1 after the ten blow-ups", "k-squared", {"sequence": "X"}, -1),
+               "combination-square", {"sequence": X, "terms": [["C", 1]]}, -2),
+        _claim("K^2 = -1 after the ten blow-ups", "k-squared", {"sequence": X}, -1),
         _claim("the tenth center's curve cannot be contracted within the family",
                "minimality",
-               {"configuration": "member", "member": ["Mq", "L1", "L2", "L3"], "e": "E"},
+               {"configuration": member_cfg, "member": ["Mq", "L1", "L2", "L3"], "e": "E"},
                "blocks-blow-down"),
     )
     return ExampleBundle(
-        name="three-lines-conic",
         description="Three lines plus a conic; mobile part of square 3 and genus 1; "
                     "a generic tenth blow-up keeps the surface in the family.",
-        sequences={"X": (seq, assignments)},
-        configurations={"member": member_cfg},
         claims=claims,
     )
 
@@ -367,7 +357,7 @@ def sections_to_minus_four(m: int = 6) -> ExampleBundle:
         node_ids.append(nid)
         centers.append((nid, parent, (line,)))
         curves[line][1][nid] = 1
-    seq, assignments = _seq(P2(), centers, curves)
+    Yprime = _seq(P2(), centers, curves)
 
     def comp_terms(name):
         if name.startswith("E"):
@@ -380,27 +370,24 @@ def sections_to_minus_four(m: int = 6) -> ExampleBundle:
     claims = (
         _claim("each chosen component transform is a (-4)-curve",
                "all-squares",
-               {"sequence": "Yprime", "curves": [comp_terms(c) for c in chosen]},
+               {"sequence": Yprime, "curves": [comp_terms(c) for c in chosen]},
                [-4]),
         _claim("contracting the m disjoint sections gives a pencil member of square m",
                "blow-down-chain",
-               {"sequence": "Yprime",
+               {"sequence": Yprime,
                 "contract": [[[f"e:{_HEX_SECTIONS[c]}", 1]] for c in chosen],
                 "track": track},
                {"k_squared": None, "track_square": m}),
         _claim("the first (-4)-transform meets the residual anticanonical part twice",
                "pairing",
-               {"sequence": "Yprime", "a": comp_terms(chosen[0]), "b": delta}, 2),
+               {"sequence": Yprime, "a": comp_terms(chosen[0]), "b": delta}, 2),
         _claim("m depth-1 towers over the reduced cycle fiber satisfy the bounds",
                "jacobian-bound", {"fiber": "I6", "g": [1] * m}, True),
     )
     return ExampleBundle(
-        name="sections-to-minus-four",
         description="Blow up hexagon-cycle nodes until m component transforms reach "
                     "self-intersection -4; contract the m sections; the mobile member "
                     "square equals m.",
-        sequences={"Yprime": (seq, assignments)},
-        configurations={},
         claims=claims,
     )
 
@@ -455,7 +442,7 @@ def scroll_fiber_tower(n: int = 3, t: int = 0, b: int = 4) -> ExampleBundle:
                         [f"e':{c}", 4], [f"e':{d}", 2]]
             h_parts += [(F, 5)]
     centers.append(("q", None, ()))
-    seq, assignments = _seq(Hirzebruch(b), centers, curves)
+    X = _seq(Hirzebruch(b), centers, curves)
     case13_input = {
         "y_min": {"Fb": b}, "k": n, "m": 0,
         "components": [{"role": "M1", "g": n, "class": [1, 0]},
@@ -466,28 +453,25 @@ def scroll_fiber_tower(n: int = 3, t: int = 0, b: int = 4) -> ExampleBundle:
         _claim("anticanonical class: twice the negative section plus the fiber towers, "
                "less the last center on the member",
                "class-identity",
-               {"sequence": "X", "lhs": mk_lhs + [["e:q", -1]], "rhs": [["K", -1]]},
+               {"sequence": X, "lhs": mk_lhs + [["e:q", -1]], "rhs": [["K", -1]]},
                True),
         _claim("bi-anticanonical class: n fibers + 4 negative sections + tower residue, "
                "less twice the last center",
                "class-identity",
-               {"sequence": "X", "lhs": m2k_lhs + [["e:q", -2]], "rhs": [["K", -2]]},
+               {"sequence": X, "lhs": m2k_lhs + [["e:q", -2]], "rhs": [["K", -2]]},
                True),
         _claim("K^2 = 5 - (n + t + b)",
-               "k-squared", {"sequence": "X"},
+               "k-squared", {"sequence": X},
                5 - (n + t + b)),
         _claim("the negative section has self-intersection -b",
-               "combination-square", {"sequence": "X", "terms": [["b:s0", 1]]},
+               "combination-square", {"sequence": X, "terms": [["b:s0", 1]]},
                -b),
         _claim("the direct image data fits the fiber-pencil shape (case 13) with k = n",
                "match-case", {"input": case13_input}, [13]),
     )
     return ExampleBundle(
-        name="scroll-fiber-tower",
         description="Towers over fibers of a Hirzebruch surface; K^2 = 5-(n+t+b) with "
                     "an explicit bi-anticanonical decomposition and a case-13 image.",
-        sequences={"X": (seq, assignments)},
-        configurations={},
         claims=claims,
     )
 
@@ -510,7 +494,7 @@ def quintic_plus_line() -> ExampleBundle:
         "L": ([1], {f"q{j}": 1 for j in range(1, 5)}),
         "C2": ([2], {f"p{i}": 1 for i in range(1, 6)}),
     }
-    seq, assignments = _seq(P2(), centers, curves)
+    X = seq, assignments = _seq(P2(), centers, curves)
     c5 = proper_transform(seq, assignments["C5"])
     ln = proper_transform(seq, assignments["L"])
     c2 = proper_transform(seq, assignments["C2"])
@@ -525,42 +509,38 @@ def quintic_plus_line() -> ExampleBundle:
     claims = (
         _claim("quintic transform plus line transform equals the bi-anticanonical class",
                "class-identity",
-               {"sequence": "X", "lhs": [["C5", 1], ["L", 1]], "rhs": [["K", -2]]},
+               {"sequence": X, "lhs": [["C5", 1], ["L", 1]], "rhs": [["K", -2]]},
                True),
         _claim("the quintic transform is a rational (-3)-curve",
-               "combination-square", {"sequence": "X", "terms": [["C5", 1]]}, -3),
+               "combination-square", {"sequence": X, "terms": [["C5", 1]]}, -3),
         _claim("the quintic transform has genus 0",
-               "combination-genus", {"sequence": "X", "terms": [["C5", 1]]}, 0),
+               "combination-genus", {"sequence": X, "terms": [["C5", 1]]}, 0),
         _claim("the line transform is a (-3)-curve",
-               "combination-square", {"sequence": "X", "terms": [["L", 1]]}, -3),
+               "combination-square", {"sequence": X, "terms": [["L", 1]]}, -3),
         _claim("quintic and line transforms meet exactly once",
-               "pairing", {"sequence": "X", "a": [["C5", 1]], "b": [["L", 1]]}, 1),
+               "pairing", {"sequence": X, "a": [["C5", 1]], "b": [["L", 1]]}, 1),
         _claim("the conic through the five nodes becomes a (-1)-curve",
-               "combination-square", {"sequence": "X", "terms": [["C2", 1]]}, -1),
+               "combination-square", {"sequence": X, "terms": [["C2", 1]]}, -1),
         _claim("the member is reduced simple normal crossing (K3 double-cover shape)",
-               "k3-type", {"configuration": "member"}, True),
+               "k3-type", {"configuration": member}, True),
         _claim("the member is an interior-free (-3)-(-3) chain",
-               "log-enriques", {"configuration": "member"}, True),
+               "log-enriques", {"configuration": member}, True),
         _claim("contracting the last exceptional curve is blocked (p_a stays 1)",
                "minimality",
-               {"configuration": "member-with-e", "member": ["C5", "L"], "e": "E"},
+               {"configuration": member_e, "member": ["C5", "L"], "e": "E"},
                "blocks-blow-down"),
         _claim("contracting the nodal conic's transform is likewise blocked",
                "minimality",
-               {"configuration": "member-with-bisection", "member": ["C5", "L"],
+               {"configuration": member_c2, "member": ["C5", "L"],
                 "e": "C2"},
                "blocks-blow-down"),
-        _claim("K^2 = -1 after the ten blow-ups", "k-squared", {"sequence": "X"}, -1),
+        _claim("K^2 = -1 after the ten blow-ups", "k-squared", {"sequence": X}, -1),
         _claim("the six-nodal quintic's multiplicity vector reduces to a line",
                "reduce", {"vector": "(5;2,2,2,2,2,2)"}, "line"),
     )
     return ExampleBundle(
-        name="quintic-plus-line",
         description="Six-nodal quintic plus transversal line; reduced SNC member of "
                     "two (-3)-curves; two blocked blow-down witnesses.",
-        sequences={"X": (seq, assignments)},
-        configurations={"member": member, "member-with-e": member_e,
-                        "member-with-bisection": member_c2},
         claims=claims,
     )
 
@@ -587,7 +567,7 @@ def halphen_five_lines() -> ExampleBundle:
         "L5": ([1], {"q1": 1, "q2": 1, "q3": 1, "a": 1}),
         "C3": ([3], {**{p: 1 for p in pair_names}, "q1": 1, "q2": 1, "q3": 1}),
     }
-    seq, assignments = _seq(P2(), centers, curves)
+    X = seq, assignments = _seq(P2(), centers, curves)
     r = {i: proper_transform(seq, assignments[f"L{i}"]) for i in range(1, 5)}
     r5_pencil = proper_transform(seq, assignments["L5"]) + seq.exceptional("a")
     r5_member = proper_transform(seq, assignments["L5"])
@@ -603,41 +583,37 @@ def halphen_five_lines() -> ExampleBundle:
     )
     claims = (
         _claim("four line transforms around the doubled fifth line form a star fiber I0*",
-               "fiber-type", {"configuration": "star-fiber"}, "I0*"),
+               "fiber-type", {"configuration": star}, "I0*"),
         _claim("the isolated bi-anticanonical member is the four lines plus the "
                "doubled fifth transform",
                "class-identity",
-               {"sequence": "X",
+               {"sequence": X,
                 "lhs": [["L1", 1], ["L2", 1], ["L3", 1], ["L4", 1], ["L5", 2]],
                 "rhs": [["K", -2]]}, True),
         _claim("the anticanonical class is the cubic transform minus the last center "
                "(no effective member)",
                "class-identity",
-               {"sequence": "X", "lhs": [["C3", 1], ["e:a", -1]], "rhs": [["K", -1]]},
+               {"sequence": X, "lhs": [["C3", 1], ["e:a", -1]], "rhs": [["K", -1]]},
                True),
         _claim("the doubled component makes the member non-reduced: no K3 double cover",
-               "k3-type", {"configuration": "member"}, False),
+               "k3-type", {"configuration": member}, False),
         _claim("a star fiber is outside the multiplicative types a K3 cover allows",
                "halphen-k3", {"fibers": ["I0*"]}, False),
         _claim("the member is not an index-2 degeneration chain shape",
-               "log-enriques", {"configuration": "member"}, False),
+               "log-enriques", {"configuration": member}, False),
         _claim("contracting the last exceptional curve is blocked (p_a stays 1)",
                "minimality",
-               {"configuration": "member-with-ea",
+               {"configuration": member_ea,
                 "member": ["R1", "R2", "R3", "R4", "R5"], "e": "EA"},
                "blocks-blow-down"),
-        _claim("K^2 = -1 after the ten blow-ups", "k-squared", {"sequence": "X"}, -1),
+        _claim("K^2 = -1 after the ten blow-ups", "k-squared", {"sequence": X}, -1),
         _claim("the doubled-line transform is a (-3)-curve",
-               "combination-square", {"sequence": "X", "terms": [["L5", 1]]}, -3),
+               "combination-square", {"sequence": X, "terms": [["L5", 1]]}, -3),
     )
     return ExampleBundle(
-        name="halphen-five-lines",
         description="Five general lines; index-2 pencil with an I0* member; the "
                     "blown-up surface has an isolated non-reduced bi-anticanonical "
                     "member and no K3 double cover.",
-        sequences={"X": (seq, assignments)},
-        configurations={"star-fiber": star, "member": member,
-                        "member-with-ea": member_ea},
         claims=claims,
     )
 
