@@ -19,6 +19,7 @@ from .lattice import (
     reflect,
     riemann_roch_chi,
     special_h0,
+    weighted_sum,
 )
 from .config import (
     UNDETERMINED,
@@ -39,12 +40,10 @@ from .blowup import (
     BlowUpSequence,
     Center,
     CurveAssignment,
-    combination,
     configuration_from_classes,
     make_assignment,
     proper_transform,
     total_transform,
-    verify_class_identity,
 )
 from .cremona import (
     MultiplicityVector,

@@ -46,14 +46,19 @@ class BlowUpSequence:
     base: Base
     centers: tuple[Center, ...]
     _lattice: IntersectionLattice = field(init=False, repr=False, compare=False)
-    # center id -> its index, and curve label -> indices of the centers
-    # declared on that curve
+    _base_lattice: IntersectionLattice = field(init=False, repr=False, compare=False)
+    # center id -> its index, curve label -> indices of the centers declared
+    # on that curve, and center id -> lattice indices of its immediate children
     _position: dict = field(init=False, repr=False, compare=False)
     _declared: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         position: dict[str, int] = {}
         declared: dict[str, list[int]] = {}
+        children: dict[str, list[int]] = {}
+        base_lattice = make_lattice(self.base, 0)
+        head = base_lattice.rank
         for i, c in enumerate(self.centers):
             if c.id in position:
                 raise ValueError(f"duplicate center id {c.id!r}")
@@ -64,10 +69,14 @@ class BlowUpSequence:
             position[c.id] = i
             for label in c.on_curves:
                 declared.setdefault(label, []).append(i)
+            if c.parent is not None:
+                children.setdefault(c.parent, []).append(head + i)
         lat = make_lattice(self.base, len(self.centers), tuple(c.id for c in self.centers))
         object.__setattr__(self, "_lattice", lat)
+        object.__setattr__(self, "_base_lattice", base_lattice)
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_declared", declared)
+        object.__setattr__(self, "_children", children)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -75,7 +84,7 @@ class BlowUpSequence:
 
     @property
     def base_lattice(self) -> IntersectionLattice:
-        return make_lattice(self.base, 0)
+        return self._base_lattice
 
     def k_squared(self) -> int:
         """Canonical self-intersection after all blow-ups.
@@ -97,15 +106,30 @@ class BlowUpSequence:
         return self.centers[self._position[cid]]
 
     def children(self, cid: str) -> tuple[str, ...]:
-        return tuple(c.id for c in self.centers if c.parent == cid)
+        return tuple(self._lattice.basis_labels[i] for i in self._children.get(cid, ()))
 
     def exceptional(self, cid: str) -> DivisorClass:
         """Total transform class of the exceptional curve over a center."""
-        return combination(self, {}, [("e:" + cid, 1)])
+        return self._basis_minus(cid, ())
 
     def exceptional_proper(self, cid: str) -> DivisorClass:
-        """Class of the irreducible exceptional curve over a center."""
-        return combination(self, {}, [("e':" + cid, 1)])
+        """Class of the irreducible exceptional curve over a center: its
+        total class minus those of its immediate children.
+
+        TESTS::
+
+            >>> from .lattice import P2
+            >>> seq = BlowUpSequence(P2(), (Center("p"), Center("q", parent="p")))
+            >>> str(seq.exceptional_proper("p"))
+            'p-q'
+        """
+        return self._basis_minus(cid, self._children.get(cid, ()))
+
+    def _basis_minus(self, cid: str, minus) -> DivisorClass:
+        """The center's basis vector minus those at the lattice indices ``minus``."""
+        self.center(cid)  # KeyError for an unknown center
+        index = self._base_lattice.rank + self._position[cid]
+        return _class_of(self, [(index, 1), *((i, -1) for i in minus)])
 
     def lift(self, base_class: DivisorClass) -> DivisorClass:
         """Pull a base-lattice class back with zero exceptional coefficients."""
@@ -163,32 +187,8 @@ def _lifted(seq: BlowUpSequence, base_class: DivisorClass):
 
 
 def _proper(seq: BlowUpSequence, c: CurveAssignment):
-    index = seq.lattice.basis_labels.index
-    return [*_lifted(seq, c.base_class), *((index(cid), -m) for cid, m in c.mults.items())]
-
-
-def _term(seq: BlowUpSequence, assignments: dict, name: str):
-    """(index, coefficient) pairs of the class a term name stands for."""
-    lat = seq.lattice
-    index = lat.basis_labels.index
-    if name == "K":
-        return enumerate(lat.canonical.coeffs)
-    if name.startswith("t:"):
-        return _lifted(seq, assignments[name[2:]].base_class)
-    if name.startswith("e:"):
-        seq.center(name[2:])
-        return [(index(name[2:]), 1)]
-    if name.startswith("e':"):
-        children = seq.children(name[3:])
-        return [*_term(seq, {}, "e:" + name[3:]), *((index(child), -1) for child in children)]
-    if name.startswith("b:"):
-        head = lat.basis_labels[: lat.rank - len(seq.centers)]
-        if name[2:] not in head:
-            raise KeyError(f"{name[2:]!r} is not a base basis label")
-        return [(head.index(name[2:]), 1)]
-    if name in assignments:
-        return _proper(seq, assignments[name])
-    raise KeyError(f"cannot resolve term {name!r}")
+    head, position = seq.base_lattice.rank, seq._position
+    return [*_lifted(seq, c.base_class), *((head + position[cid], -m) for cid, m in c.mults.items())]
 
 
 def _class_of(seq: BlowUpSequence, entries) -> DivisorClass:
@@ -216,65 +216,6 @@ def proper_transform(seq: BlowUpSequence, c: CurveAssignment) -> DivisorClass:
         -4
     """
     return _class_of(seq, _proper(seq, c))
-
-
-def combination(seq: BlowUpSequence, assignments, terms) -> DivisorClass:
-    """The class sum(coefficient * class(name)) of (name, coefficient) terms.
-
-    A name is one of:
-
-      "K"          canonical class of the blown-up lattice
-      "<label>"    proper transform of the assignment with that label
-      "t:<label>"  total transform of that assignment
-      "e:<id>"     total exceptional class of a center
-      "e':<id>"    irreducible exceptional curve over a center
-      "b:<name>"   lifted base basis class (e0, or f / s0)
-
-    ``assignments`` maps labels to curve assignments (a list of them is
-    keyed by label).  The terms are summed as exact integers and one class
-    is built from the total, so the int64 guard sees the result only.
-
-    TESTS::
-
-        >>> from .lattice import P2
-        >>> seq = BlowUpSequence(P2(), (Center("p"), Center("q", parent="p")))
-        >>> str(combination(seq, {}, [("b:e0", 2), ("e':p", -1), ("K", 1)]))
-        '-e0+2q'
-    """
-    if isinstance(assignments, (list, tuple)):
-        assignments = {a.label: a for a in assignments}
-    return _class_of(
-        seq,
-        ((i, int(coeff) * v) for name, coeff in terms for i, v in _term(seq, assignments, name)),
-    )
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    holds: bool
-    residual: DivisorClass
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def verify_class_identity(seq: BlowUpSequence, assignments, lhs, rhs) -> IdentityReport:
-    """Check an integer-linear identity between divisor classes.
-
-    ``lhs`` and ``rhs`` are lists of (name, coefficient) terms in the
-    language of ``combination``.  Returns whether lhs - rhs vanishes, plus
-    the residual for diagnostics.
-
-    TESTS::
-
-        >>> from .lattice import P2
-        >>> seq = BlowUpSequence(P2(), (Center("p"),))
-        >>> rep = verify_class_identity(seq, {}, [("b:e0", 1)], [("b:e0", 1), ("e:p", 1)])
-        >>> rep.holds, str(rep.residual)
-        (False, '-p')
-    """
-    residual = combination(seq, assignments, [*lhs, *((name, -int(c)) for name, c in rhs)])
-    return IdentityReport(not any(residual.coeffs), residual)
 
 
 def configuration_from_classes(entries, overrides=None, triples=()) -> CurveConfiguration:

@@ -7,14 +7,11 @@ entry's parameters and their defaults; a static entry's builder takes
 none.
 
 ``verify_example`` builds an entry, recomputes every claim and reports
-each comparison.  ``CHECKS`` is the claim language: it maps each check
-name to its evaluator, whose parameters are the claim's arguments.  A
-``sequence`` argument is a builder's ``(BlowUpSequence, assignments)``
-pair and a ``configuration`` argument a ``CurveConfiguration``.
-
-Linear combinations are lists of (name, coefficient) terms in the term
-language of ``blowup.combination``, which evaluates them.  Inside a dict
-expected value, ``None`` marks a field as unchecked.
+each comparison.  ``CHECKS`` maps each check name to its evaluator, whose
+parameters are the claim's arguments: divisor classes (``DivisorClass``
+values or lists of them), a ``BlowUpSequence``, a ``CurveConfiguration``
+or plain data.  Inside a dict expected value, ``None`` marks a field as
+unchecked.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import inspect
 from dataclasses import dataclass
 
 from . import constructions
-from .blowup import combination, verify_class_identity
 from .classify import (
     halphen_k3_predicate,
     input_from_json,
@@ -65,10 +61,10 @@ def _matches(actual, expected) -> bool:
 def _blow_down_chain(sequence, contract, track=None, extra_blowups=0):
     """Contract a list of curves in order, tracking one extra class.
 
-    Each listed combination must have self-intersection -1 at its turn
-    (earlier contractions transform the later classes), as for an
-    iterated blow-down.  Returns the canonical self-intersection after
-    the contractions (minus any further declared blow-ups) and the final
+    Each listed class must have self-intersection -1 at its turn (earlier
+    contractions transform the later classes), as for an iterated
+    blow-down.  Returns the canonical self-intersection after the
+    contractions (minus any further declared blow-ups) and the final
     self-intersection of the tracked class.
     """
     done = []
@@ -79,52 +75,40 @@ def _blow_down_chain(sequence, contract, track=None, extra_blowups=0):
         return cls
 
     for raw in contract:
-        cur = push_down(combination(*sequence, raw))
+        cur = push_down(raw)
         if cur.self_intersection() != -1:
             raise ValueError(
-                f"chain step {raw!r} has self-intersection "
+                f"chain step {raw} has self-intersection "
                 f"{cur.self_intersection()}, not -1"
             )
         done.append(cur)
-    k_squared = sequence[0].k_squared() + len(done) - int(extra_blowups)
-    track_square = None
-    if track is not None:
-        track_square = push_down(combination(*sequence, track)).self_intersection()
+    k_squared = sequence.k_squared() + len(done) - int(extra_blowups)
+    track_square = None if track is None else push_down(track).self_intersection()
     return {"k_squared": k_squared, "track_square": track_square}
 
 
-def _section_pattern(sequence, sections, fiber) -> bool:
-    f = combination(*sequence, fiber)
-    if f.self_intersection() != 0:
-        return False
-    classes = [combination(*sequence, s) for s in sections]
-    for i, s in enumerate(classes):
-        if s.self_intersection() != -1 or pair(s, f) != 1:
-            return False
-        if any(pair(s, t) != 0 for t in classes[i + 1 :]):
-            return False
-    return True
+def _disjoint_minus_ones(curves) -> bool:
+    return all(c.self_intersection() == -1 for c in curves) and all(
+        pair(a, b) == 0 for i, a in enumerate(curves) for b in curves[i + 1 :]
+    )
 
 
-def _disjoint_minus_ones(sequence, curves) -> bool:
-    classes = [combination(*sequence, c) for c in curves]
-    return all(c.self_intersection() == -1 for c in classes) and all(
-        pair(a, b) == 0
-        for i, a in enumerate(classes)
-        for b in classes[i + 1 :]
+def _section_pattern(sections, fiber) -> bool:
+    return (
+        fiber.self_intersection() == 0
+        and all(pair(s, fiber) == 1 for s in sections)
+        and _disjoint_minus_ones(sections)
     )
 
 
 # check name -> evaluator; a claim's args are the evaluator's keyword arguments
 CHECKS = {
-    "class-identity": lambda sequence, lhs, rhs: bool(verify_class_identity(*sequence, lhs, rhs)),
-    "combination-square": lambda sequence, terms: combination(*sequence, terms).self_intersection(),
-    "combination-genus": lambda sequence, terms: arithmetic_genus(combination(*sequence, terms)),
-    "all-squares": lambda sequence, curves: sorted(
-        {combination(*sequence, c).self_intersection() for c in curves}
-    ),
-    "pairing": lambda sequence, a, b: pair(combination(*sequence, a), combination(*sequence, b)),
-    "k-squared": lambda sequence: sequence[0].k_squared(),
+    "class-identity": lambda lhs, rhs: not any((lhs - rhs).coeffs),
+    "combination-square": lambda cls: cls.self_intersection(),
+    "combination-genus": lambda cls: arithmetic_genus(cls),
+    "all-squares": lambda curves: sorted({c.self_intersection() for c in curves}),
+    "pairing": pair,
+    "k-squared": lambda sequence: sequence.k_squared(),
     "blow-down-chain": _blow_down_chain,
     "disjoint-minus-ones": _disjoint_minus_ones,
     "section-pattern": _section_pattern,

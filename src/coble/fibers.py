@@ -189,7 +189,11 @@ def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
             used[j] = False
         return False
 
-    return extend(0)
+    found = extend(0)
+    # extend refers to itself through its closure cell: break that cycle so
+    # both configurations are freed now, not at the next cyclic collection
+    extend = None
+    return found
 
 
 @functools.cache

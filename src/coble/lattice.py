@@ -22,20 +22,20 @@ if a value leaves the signed 64-bit range, which the intended inputs never
 approach; it runs where values enter a lattice, at class construction (so
 on every sum, difference and multiple), and on pairing results.  Classes
 made from a whole int64 matrix (``_classes_of_int64_matrix``) are in range
-by the matrix's dtype and skip the per-coefficient guard.  Code that
-sums many terms before building a class (``blowup.combination``) does so in
-Python integers, so the guard sees the finished class, not the partial
-sums.  Divisor classes are immutable and carry their lattice, so mixing
-classes from different lattices is an error rather than a silent
-mispairing.
+by the matrix's dtype and skip the guard.  ``weighted_sum`` adds many
+multiples of classes in Python integers, so the guard sees the finished
+class, not the partial sums.  Divisor classes are immutable and carry
+their lattice, so mixing classes from different lattices is an error
+rather than a silent mispairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 I64_MAX = 2**63 - 1
 
@@ -208,12 +208,15 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+        coeffs = self.coeffs
+        if len(coeffs) != self.lattice.rank:
             raise ValueError(
-                f"expected {self.lattice.rank} coefficients, got {len(self.coeffs)}"
+                f"expected {self.lattice.rank} coefficients, got {len(coeffs)}"
             )
-        for c in self.coeffs:
-            _check_i64(c)
+        # one pass each of max and min; the walk only names the first offender
+        if coeffs and (max(coeffs) > I64_MAX or min(coeffs) < -I64_MAX - 1):
+            for c in coeffs:
+                _check_i64(c)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_lattice(self, other)
@@ -251,10 +254,36 @@ class DivisorClass:
 
 
 def _same_lattice(a: DivisorClass, b: DivisorClass) -> None:
-    if a.lattice != b.lattice:
+    if a.lattice is not b.lattice and a.lattice != b.lattice:
         raise LatticeMismatch(
             f"classes live in different lattices: {a.lattice!r} vs {b.lattice!r}"
         )
+
+
+def weighted_sum(terms) -> DivisorClass:
+    """The class sum(k * c) of nonempty (k, c) terms, all in one lattice.
+
+    Each class's nonzero coefficients are summed as Python integers and one
+    class is built from the total, so the int64 guard sees the result only.
+
+    TESTS::
+
+        >>> lat = make_lattice(P2(), 2)
+        >>> str(weighted_sum([(3, lat.unit(0)), (-1, lat.unit(1)), (2, lat.unit(1))]))
+        '3e0+e1'
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("weighted_sum needs at least one term")
+    first = terms[0][1]
+    total = [0] * first.lattice.rank
+    slots = tuple(range(first.lattice.rank))  # compress then makes no new ints
+    for k, c in terms:
+        _same_lattice(first, c)
+        k, coeffs = index(k), c.coeffs
+        for i in compress(slots, coeffs):
+            total[i] += k * coeffs[i]
+    return DivisorClass(first.lattice, tuple(total))
 
 
 def pair(a: DivisorClass, b: DivisorClass) -> int:

@@ -8,12 +8,10 @@ from coble.blowup import (
     BlowUpSequence,
     Center,
     CurveAssignment,
-    combination,
     configuration_from_classes,
     make_assignment,
     proper_transform,
     total_transform,
-    verify_class_identity,
 )
 from coble.lattice import (
     I64_MAX,
@@ -23,6 +21,7 @@ from coble.lattice import (
     arithmetic_genus,
     make_lattice,
     pair,
+    weighted_sum,
 )
 
 
@@ -57,6 +56,8 @@ def test_exceptional_classes():
     assert pair(ep_irr, e_q) == 1
     assert seq.exceptional_proper("q") == e_q
     assert seq.children("p") == ("q",)
+    # a center named like the base's basis vector still gets its own vector
+    assert BlowUpSequence(P2(), (Center("e0"),)).exceptional("e0").coeffs == (0, 1)
 
 
 def test_lift_preserves_base_intersections():
@@ -143,83 +144,66 @@ def test_transforms():
     )
 
 
-def test_identity_language():
+def test_class_identities():
     seq = BlowUpSequence(
         P2(),
         tuple(Center(f"p{i}", on_curves=("C",)) for i in range(1, 10)),
     )
     cubic = seq.base_lattice.make_class((3,))
     c = make_assignment(seq, "C", cubic, {f"p{i}": 1 for i in range(1, 10)})
+    proper, total = proper_transform(seq, c), total_transform(seq, c)
     # a cubic through nine points represents the anticanonical class
-    rep = verify_class_identity(seq, {"C": c}, [("C", 1)], [("K", -1)])
-    assert rep.holds and bool(rep)
-    assert all(v == 0 for v in rep.residual.coeffs)
-    # total transform keeps the exceptional coefficients at zero
-    rep2 = verify_class_identity(
-        seq,
-        {"C": c},
-        [("t:C", 1)],
-        [("C", 1)] + [(f"e:p{i}", 1) for i in range(1, 10)],
-    )
-    assert rep2.holds
-    rep3 = verify_class_identity(seq, {"C": c}, [("b:e0", 3)], [("t:C", 1)])
-    assert rep3.holds
-    # a wrong identity reports the residual instead of raising
-    bad = verify_class_identity(seq, {"C": c}, [("C", 1)], [("K", 1)])
-    assert not bad
-    assert any(v != 0 for v in bad.residual.coeffs)
+    assert proper == -seq.lattice.canonical
+    # the total transform keeps the exceptional coefficients at zero
+    exceptional = [(1, seq.exceptional(f"p{i}")) for i in range(1, 10)]
+    assert total == weighted_sum([(1, proper), *exceptional])
+    assert total == 3 * seq.lift(seq.base_lattice.unit(0))
+    # a wrong identity leaves a nonzero residual
+    assert any((proper - seq.lattice.canonical).coeffs)
 
 
-def test_identity_term_errors():
-    seq = plane_seq("p")
-    with pytest.raises(KeyError):
-        verify_class_identity(seq, {}, [("nope", 1)], [])
-    with pytest.raises(KeyError):
-        verify_class_identity(seq, {}, [("e:zz", 1)], [])
-    # exceptional labels are not base basis labels
-    with pytest.raises(KeyError):
-        verify_class_identity(seq, {}, [("b:p", 1)], [])
-
-
-def folded_terms(seq, assignments, terms):
-    """Reference evaluator: resolve each term to a full class and fold with +,
-    from lattice basis classes only."""
+def reference_classes(seq, assignments):
+    """Every class a sequence and its curves name, built from lattice basis
+    classes by + and - only."""
     lat = seq.lattice
-    head = lat.rank - len(seq.centers)
-    acc = lat.zero()
-    for name, coeff in terms:
-        if name == "K":
-            cls = lat.canonical
-        elif name.startswith("t:") or name in assignments:
-            c = assignments[name[2:] if name.startswith("t:") else name]
-            if c.base_class.lattice != seq.base_lattice:
-                raise LatticeMismatch("wrong base lattice")
-            cls = lat.make_class(c.base_class.coeffs + (0,) * len(seq.centers))
-            if not name.startswith("t:"):
-                for cid, m in c.mults.items():
-                    cls = cls - m * lat.basis_class(cid)
-        elif name.startswith("e:"):
-            seq.center(name[2:])
-            cls = lat.basis_class(name[2:])
-        elif name.startswith("e':"):
-            seq.center(name[3:])
-            cls = lat.basis_class(name[3:])
-            for child in seq.children(name[3:]):
-                cls = cls - lat.basis_class(child)
-        elif name.startswith("b:"):
-            if name[2:] not in lat.basis_labels[:head]:
-                raise KeyError(name)
-            cls = lat.basis_class(name[2:])
-        else:
-            raise KeyError(name)
-        acc = acc + int(coeff) * cls
-    return acc
+    out = {("canonical",): lat.canonical}
+    for label, c in assignments.items():
+        total = lat.make_class(c.base_class.coeffs + (0,) * len(seq.centers))
+        proper = total
+        for cid, m in c.mults.items():
+            proper = proper - m * lat.basis_class(cid)
+        out[("total", label)], out[("proper", label)] = total, proper
+    for c in seq.centers:
+        out[("exceptional", c.id)] = lat.basis_class(c.id)
+        curve = lat.basis_class(c.id)
+        for child in seq.centers:
+            if child.parent == c.id:
+                curve = curve - lat.basis_class(child.id)
+        out[("exceptional_proper", c.id)] = curve
+    for label in seq.base_lattice.basis_labels:
+        out[("base", label)] = lat.basis_class(label)
+    return out
+
+
+def transform_classes(seq, assignments):
+    """The same classes as ``reference_classes``, from the sequence's API."""
+    out = {("canonical",): seq.lattice.canonical}
+    for label, c in assignments.items():
+        out[("total", label)] = total_transform(seq, c)
+        out[("proper", label)] = proper_transform(seq, c)
+    for c in seq.centers:
+        out[("exceptional", c.id)] = seq.exceptional(c.id)
+        out[("exceptional_proper", c.id)] = seq.exceptional_proper(c.id)
+    for label in seq.base_lattice.basis_labels:
+        out[("base", label)] = seq.lift(seq.base_lattice.basis_class(label))
+    return out
 
 
 @st.composite
 def sequences_and_terms(draw):
-    """A sequence with infinitely near centers, two curves on it, and two
-    term lists drawing on all six term kinds."""
+    """A sequence with infinitely near centers, two curves on it, and a
+    nonempty list of (coefficient, key) terms over every kind of class that
+    ``reference_classes`` names."""
     base = draw(st.sampled_from([P2(), Hirzebruch(0), Hirzebruch(1), Hirzebruch(3)]))
     centers = []
     for i in range(draw(st.integers(1, 8))):
@@ -236,56 +220,65 @@ def sequences_and_terms(draw):
             mults[c.id] = draw(st.integers(0, cap))
         base_class = seq.base_lattice.make_class(coeffs)
         assignments[label] = make_assignment(seq, label, base_class, mults)
-    names = (
-        ["K", "A", "B", "t:A", "t:B"]
-        + [f"e:{c.id}" for c in centers]
-        + [f"e':{c.id}" for c in centers]
-        + [f"b:{label}" for label in seq.lattice.basis_labels[:head]]
+    keys = list(reference_classes(seq, assignments))
+    terms = st.lists(
+        st.tuples(st.integers(-10**6, 10**6), st.sampled_from(keys)), min_size=1, max_size=10
     )
-    terms = st.lists(st.tuples(st.sampled_from(names), st.integers(-10**6, 10**6)), max_size=10)
-    return seq, assignments, draw(terms), draw(terms)
+    return seq, assignments, draw(terms)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(sequences_and_terms())
 def test_combination_matches_the_folded_terms(case):
-    seq, assignments, lhs, rhs = case
-    assert combination(seq, assignments, lhs) == folded_terms(seq, assignments, lhs)
-    assert combination(seq, list(assignments.values()), rhs) == folded_terms(seq, assignments, rhs)
-    rep = verify_class_identity(seq, assignments, lhs, rhs)
-    residual = folded_terms(seq, assignments, lhs) - folded_terms(seq, assignments, rhs)
-    assert rep.residual == residual
-    assert rep.holds == (residual == seq.lattice.zero())
-    assert verify_class_identity(seq, assignments, lhs, lhs).holds
+    seq, assignments, terms = case
+    classes = transform_classes(seq, assignments)
+    assert classes == reference_classes(seq, assignments)
+    folded = seq.lattice.zero()
+    for k, key in terms:
+        folded = folded + k * classes[key]
+    assert weighted_sum((k, classes[key]) for k, key in terms) == folded
+
+
+def test_identity_term_errors():
+    seq = BlowUpSequence(P2(), (Center("p"), Center("q", parent="p")))
+    # e0 is a basis label of the lattice but not a center
+    for cid in ("zz", "e0"):
+        for exceptional in (seq.exceptional, seq.exceptional_proper, seq.center):
+            with pytest.raises(KeyError, match=f"unknown center '{cid}'"):
+                exceptional(cid)
+    # exceptional labels are not base basis labels
+    with pytest.raises(ValueError):
+        seq.base_lattice.basis_class("p")
 
 
 def test_combination_term_errors():
     seq = BlowUpSequence(P2(), (Center("p"), Center("q", parent="p")))
-    for name in ("nope", "e:zz", "e':zz", "b:p", "t:nope"):
-        with pytest.raises(KeyError):
-            combination(seq, {}, [(name, 1)])
     # a base class from another lattice, under either transform
     for wrong in (make_lattice(P2(), 1).make_class((1, 0)), make_lattice(Hirzebruch(0), 0).zero()):
         c = CurveAssignment("C", wrong, {})
-        for name in ("C", "t:C"):
+        for transform in (proper_transform, total_transform):
             with pytest.raises(LatticeMismatch):
-                combination(seq, {"C": c}, [(name, 1)])
-            with pytest.raises(LatticeMismatch):
-                verify_class_identity(seq, {"C": c}, [(name, 1)], [])
+                transform(seq, c)
+    # terms from two lattices, or none at all
+    with pytest.raises(LatticeMismatch):
+        weighted_sum([(1, seq.exceptional("p")), (1, make_lattice(P2(), 2).unit(1))])
+    with pytest.raises(ValueError, match="at least one term"):
+        weighted_sum([])
 
 
 def test_combination_guards_the_finished_class_only():
     seq = plane_seq("p")
+    line, e_p = seq.lift(seq.base_lattice.unit(0)), seq.exceptional("p")
     big = 2**62
     # partial sums leave int64, the total fits: the exact class
-    assert combination(seq, {}, [("b:e0", big), ("b:e0", big), ("b:e0", -big)]).coeffs == (big, 0)
-    assert combination(seq, {}, [("e:p", I64_MAX), ("e:p", 1), ("e:p", -1)]).coeffs == (0, I64_MAX)
-    assert verify_class_identity(seq, {}, [("b:e0", big)] * 3, [("b:e0", big)] * 3).holds
+    assert weighted_sum([(big, line), (big, line), (-big, line)]).coeffs == (big, 0)
+    assert weighted_sum([(I64_MAX, e_p), (1, e_p), (-1, e_p)]).coeffs == (0, I64_MAX)
+    assert weighted_sum([(-big, line), (-big, line), (-1, e_p)]).coeffs == (-(2**63), -1)
     # a total past int64 still raises
-    with pytest.raises(OverflowError):
-        combination(seq, {}, [("b:e0", big), ("b:e0", big)])
-    with pytest.raises(OverflowError):
-        verify_class_identity(seq, {}, [("e:p", I64_MAX)], [("e:p", -1)])
+    with pytest.raises(OverflowError, match=f"value {2**63} leaves"):
+        weighted_sum([(big, line), (big, line)])
+    with pytest.raises(OverflowError, match=f"value {-(2**63) - 1} leaves"):
+        weighted_sum([(-I64_MAX, e_p), (-2, e_p)])
 
 
 def test_configuration_from_classes():

@@ -13,10 +13,11 @@ from coble.catalog import (
     verify_example,
 )
 from coble.constructions import BUILDERS, MAX_BLOWUPS, scroll_fiber_tower
+from coble.lattice import DivisorClass, LatticeMismatch, P2, make_lattice
 
 
 def _first_sequence(bundle):
-    """The (BlowUpSequence, assignments) pair of the bundle's first claim on one."""
+    """The BlowUpSequence of the bundle's first claim on one."""
     return next(c["args"]["sequence"] for c in bundle.claims if "sequence" in c["args"])
 
 
@@ -49,7 +50,7 @@ def test_unknown_parameter_is_refused():
 def test_blowup_budget_refuses_before_building():
     n, t = 3, 0
     b = MAX_BLOWUPS - n - t - 3
-    seq, _ = _first_sequence(scroll_fiber_tower(n, t, b))
+    seq = _first_sequence(scroll_fiber_tower(n, t, b))
     assert len(seq.centers) == MAX_BLOWUPS
     with pytest.raises(ValueError, match=f"{MAX_BLOWUPS + 1} blow-ups is over the budget of {MAX_BLOWUPS}"):
         scroll_fiber_tower(n, t, b + 1)
@@ -91,11 +92,37 @@ def test_report_shape():
 
 def test_run_check_directly():
     sequence = _first_sequence(BUILDERS["triangle-pencil"]())
-    assert run_check("pairing", {"sequence": sequence, "a": [["K", 1]], "b": [["K", 1]]}) == 0
+    k = sequence.lattice.canonical
+    assert run_check("pairing", {"a": k, "b": k}) == 0
     assert run_check("k-squared", {"sequence": sequence}) == 0
+    assert run_check("class-identity", {"lhs": 2 * k, "rhs": k + k}) is True
+    assert run_check("class-identity", {"lhs": k, "rhs": -k}) is False
+    with pytest.raises(LatticeMismatch):
+        run_check("class-identity", {"lhs": k, "rhs": make_lattice(P2(), 9).canonical})
     assert run_check("reduce", {"vector": "(4;2,2,2)"}) == "conic"
     with pytest.raises(KeyError, match="unknown check"):
         run_check("prove-riemann-hypothesis", {})
+
+
+# checks whose claims state facts about divisor classes
+CLASS_CHECKS = {
+    "class-identity", "combination-square", "combination-genus", "all-squares",
+    "pairing", "blow-down-chain", "disjoint-minus-ones", "section-pattern",
+}
+
+
+def test_class_claims_hold_classes():
+    # every argument of a class claim is a class or a list of classes, apart
+    # from the sequence and the count of further blow-ups of blow-down-chain
+    for build in BUILDERS.values():
+        for claim in build().claims:
+            if claim["check"] not in CLASS_CHECKS:
+                continue
+            for key, value in claim["args"].items():
+                if key in ("sequence", "extra_blowups"):
+                    continue
+                values = value if isinstance(value, list) else [value]
+                assert values and all(isinstance(v, DivisorClass) for v in values), claim
 
 
 def test_every_check_is_used():

@@ -1,5 +1,7 @@
 """Degenerate genus-1 fiber catalog: class identities and recognition."""
 
+import gc
+
 import pytest
 
 from coble.config import CurveConfiguration, Edge, Node, divisor_pa
@@ -106,6 +108,28 @@ def test_recognition_is_label_insensitive():
         Edge(ids[(i + 1) % 6], ids[i]) for i in range(6)
     )
     assert recognize_fiber(CurveConfiguration(nodes, edges)) == "I6"
+
+
+def test_recognition_leaves_no_cyclic_garbage():
+    # each model with new ids, its nodes and edges reversed: the matcher
+    # backtracks, and nothing it builds may wait for the cyclic collector
+    def relabelled(cfg):
+        new = {n.id: f"r{n.id}" for n in cfg.nodes}
+        return CurveConfiguration(
+            tuple(Node(new[n.id], n.self_int, n.genus, n.mult, n.sing) for n in reversed(cfg.nodes)),
+            tuple(Edge(new[e.b], new[e.a], e.count, e.tangency) for e in reversed(cfg.edges)),
+            tuple(tuple(new[x] for x in t) for t in cfg.triple_points),
+        )
+
+    models = [relabelled(kodaira_fiber(name)) for name in FIBER_NAMES]
+    recognize_fiber(models[0])  # the shared models are built outside the count
+    gc.collect()
+    gc.disable()
+    try:
+        assert [recognize_fiber(m) for m in models] == FIBER_NAMES
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_i2_and_iii_differ_by_tangency():

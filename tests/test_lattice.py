@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coble.lattice import (
+    I64_MAX,
     CurveShape,
+    DivisorClass,
     Hirzebruch,
     LatticeMismatch,
     P2,
@@ -21,6 +23,7 @@ from coble.lattice import (
     reflect,
     riemann_roch_chi,
     special_h0,
+    weighted_sum,
 )
 
 
@@ -282,11 +285,58 @@ def test_int64_guard_at_construction_and_on_pairings():
     assert pair(lat.make_class([3037000499, 0]), lat.make_class([3037000499, 0])) == 3037000499**2
 
 
+def test_int64_guard_names_the_first_offender():
+    lat = make_lattice(P2(), 4)
+
+    def message(coeffs):
+        with pytest.raises(OverflowError) as info:
+            DivisorClass(lat, coeffs)
+        return str(info.value)
+
+    assert message((1, 2, I64_MAX + 1, 3, 4)) == f"value {I64_MAX + 1} leaves the signed 64-bit range"
+    assert message((0, -5, -I64_MAX - 2, 0, 7)) == f"value {-I64_MAX - 2} leaves the signed 64-bit range"
+    # two offenders: the first in basis order is named
+    assert message((0, 2**70, -(2**64), 0, 0)) == f"value {2**70} leaves the signed 64-bit range"
+    assert message((0, 0, -(2**64), 2**70, 0)) == f"value {-(2**64)} leaves the signed 64-bit range"
+    assert DivisorClass(lat, (I64_MAX, -I64_MAX - 1, 0, 0, 0)).coeffs[1] == -(2**63)
+
+
+@st.composite
+def weighted_terms(draw):
+    """A lattice on P2 or F_b and (k, class) terms whose partial sums may leave int64."""
+    base = draw(st.one_of(st.just(P2()), st.integers(0, 9).map(Hirzebruch)))
+    lat = make_lattice(base, draw(st.integers(0, 6)))
+    big = st.one_of(st.integers(-10**6, 10**6), st.integers(-(2**63), 2**63))
+    coeffs = st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank)
+    terms = st.lists(st.tuples(big, coeffs.map(lat.make_class)), min_size=1, max_size=6)
+    return lat, draw(terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weighted_terms())
+def test_weighted_sum_matches_a_left_fold(case):
+    lat, terms = case
+    exact = [sum(k * c.coeffs[i] for k, c in terms) for i in range(lat.rank)]
+    if all(-(2**63) <= v <= I64_MAX for v in exact):
+        assert weighted_sum(terms).coeffs == tuple(exact)
+    else:
+        with pytest.raises(OverflowError, match="signed 64-bit range"):
+            weighted_sum(terms)
+    try:
+        folded = lat.zero()
+        for k, c in terms:
+            folded = folded + k * c
+    except OverflowError:
+        return  # a partial sum left int64; the exact total is checked above
+    assert weighted_sum(terms) == folded
+
+
 def test_lattices_equal_by_base_and_labels():
     a, b = make_lattice(P2(), 4), make_lattice(P2(), 4)
     assert a == b and a is not b and hash(a) == hash(b)
     assert (a.unit(1) + b.unit(2)).coeffs == (0, 1, 1, 0, 0)
     assert pair(a.unit(0), b.unit(0)) == 1
+    assert weighted_sum([(2, a.unit(1)), (3, b.unit(1))]).coeffs == (0, 5, 0, 0, 0)
     mismatched = [
         (make_lattice(P2(), 2), make_lattice(P2(), 2, ["p", "q"])),
         (make_lattice(Hirzebruch(1), 2), make_lattice(Hirzebruch(2), 2)),
