@@ -47,6 +47,7 @@ from .blowup import (
 )
 from .cremona import (
     MultiplicityVector,
+    ReductionBudgetExceeded,
     ReductionError,
     ReductionResult,
     TransformNotAdmissible,

@@ -62,6 +62,8 @@ class BlowUpSequence:
         for i, c in enumerate(self.centers):
             if c.id in position:
                 raise ValueError(f"duplicate center id {c.id!r}")
+            if c.id in base_lattice.basis_labels:
+                raise ValueError(f"center id {c.id!r} names a basis vector of the base {self.base}")
             if c.parent is not None and c.parent not in position:
                 raise ValueError(
                     f"center {c.id!r}: parent {c.parent!r} must be an earlier center"

