@@ -22,6 +22,7 @@ covers of index-1 and index-2 genus-1 pencils.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -164,8 +165,7 @@ def _json_typed(value, name: str, kind: type):
     return value
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     case: int
     name: str
     actual: str
@@ -199,15 +199,30 @@ class RationalCaseReport:
         }
 
 
+# a ConstraintCheck from its (case, name, actual, required, passed) tuple,
+# without the Python-level __new__ of a NamedTuple
+_row = functools.partial(tuple.__new__, ConstraintCheck)
+
+
 class _Shared(NamedTuple):
     """What every candidate case reads of one input, computed once."""
 
-    gamma: str  # Gamma = sum g_i C_i
-    minus_2k: str
+    # the anticanonical-class row and one section-pairing-bound row per G_i,
+    # as (name, actual, required, passed): a case adds only its number
+    anticanonical_row: tuple
+    pairing_rows: tuple[tuple, ...]
     m1_square: int
     g_m1: tuple[int, ...]  # G_i . M1, in the order of the G components
     fixed_part_pairing: int  # sum g_i G_i . M1
+    parts: dict[str, list[Component]]  # "G", "H" -> its components, in input order
+    shape: dict[tuple[int, ...], str]  # class coefficients -> shape name, per distinct class
+    mobile_shape: str
     shapes: dict[str, str]  # "G", "H" -> sorted "<g>x<shape>" terms joined by "+", or "none"
+    # ruled bases only: sum g_i a_i and sum g_i b_i over all components (the
+    # coefficients of Gamma), and sum g_i b_i over the G components
+    f_total: int
+    s_total: int
+    g_s_total: int
 
 
 def _shared(inp: RationalTypeInput) -> _Shared:
@@ -221,44 +236,68 @@ def _shared(inp: RationalTypeInput) -> _Shared:
     minus_2k = -2 * lat.canonical
     m1 = inp.mobile.cls
     m1_square = m1.self_intersection()
-    gs = inp.parts("G")
+    parts = {role: inp.parts(role) for role in ("G", "H")}
+    gs = parts["G"]
     g_m1 = tuple(pair(c.cls, m1) for c in gs)
     fixed = sum(c.g * p for c, p in zip(gs, g_m1))
-    shapes = {role: _roles_multiset(inp, role) for role in ("G", "H")}
-    return _Shared(str(gamma), str(minus_2k), m1_square, g_m1, fixed, shapes)
+    gamma_text, minus_2k_text = str(gamma), str(minus_2k)
+    anticanonical = ("anticanonical-class", gamma_text, minus_2k_text, gamma_text == minus_2k_text)
+    pairing_rows = tuple(("section-pairing-bound", str(p), "<= 2", p <= 2) for p in g_m1)
+    shape = {k: _shape_name(inp.y_min, k) for k in {c.cls.coeffs for c in inp.components}}
+    shapes = {}
+    for role, cs in parts.items():
+        terms = sorted(f"{c.g}x{shape[c.cls.coeffs]}" for c in cs)
+        shapes[role] = "+".join(terms) if terms else "none"
+    f_total = s_total = g_s_total = 0
+    if not isinstance(inp.y_min, P2):
+        f_total, s_total = gamma.coeffs
+        g_s_total = sum(c.g * c.cls.coeffs[1] for c in gs)
+    return _Shared(
+        anticanonical, pairing_rows, m1_square, g_m1, fixed, parts, shape,
+        shape[m1.coeffs], shapes, f_total, s_total, g_s_total,
+    )
 
 
 class _Rows:
-    """Constraint accumulator for one candidate case."""
+    """Constraint accumulator for one candidate case; ``ok`` holds while
+    every row so far has passed."""
+
+    __slots__ = ("case", "shared", "rows", "ok")
 
     def __init__(self, case: int, shared: _Shared):
         self.case = case
         self.shared = shared
         self.rows: list[ConstraintCheck] = []
+        self.ok = True
 
     def check(self, name: str, actual, required, passed=None) -> bool:
         if passed is None:
             passed = actual == required
-        self.rows.append(
-            ConstraintCheck(self.case, name, str(actual), str(required), bool(passed))
-        )
-        return bool(passed)
+        passed = bool(passed)
+        self.rows.append(_row((self.case, name, str(actual), str(required), passed)))
+        if not passed:
+            self.ok = False
+        return passed
 
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.rows)
+    def add(self, rows) -> None:
+        """Append (name, actual, required, passed) rows computed in ``_shared``."""
+        case = self.case
+        for r in rows:
+            self.rows.append(_row((case, *r)))
+            if not r[3]:
+                self.ok = False
 
 
-def _shape_name(inp: RationalTypeInput, cls: DivisorClass) -> str:
+def _shape_name(y_min: Base, coeffs: tuple[int, ...]) -> str:
     """Human name of a component class on the declared minimal surface."""
-    if isinstance(inp.y_min, P2):
-        d = cls.coeffs[0]
+    if isinstance(y_min, P2):
+        d = coeffs[0]
         return {1: "line", 2: "conic"}.get(d, f"degree-{d}")
-    a, b = cls.coeffs[0], cls.coeffs[1]
+    a, b = coeffs
     if (a, b) == (1, 0):
         return "fiber"
     if (a, b) == (0, 1):
-        return "co-fiber" if inp.y_min.b == 0 else "negative-section"
+        return "co-fiber" if y_min.b == 0 else "negative-section"
     if b == 1:
         return f"section({a}f+s0)"
     return f"class({a}f+{b}s0)"
@@ -267,7 +306,7 @@ def _shape_name(inp: RationalTypeInput, cls: DivisorClass) -> str:
 def _common_rows(rows: _Rows, inp: RationalTypeInput, mk_required, marked_on_m1: bool):
     """Constraints shared by every case: class identity and m bookkeeping."""
     shared = rows.shared
-    rows.check("anticanonical-class", shared.gamma, shared.minus_2k)
+    rows.add((shared.anticanonical_row,))
     rows.check("case-mk", (inp.m, inp.k), mk_required, (inp.m, inp.k) in mk_required)
     m_down = shared.m1_square
     expect_p1 = 1 if marked_on_m1 else 0
@@ -280,8 +319,7 @@ def _common_rows(rows: _Rows, inp: RationalTypeInput, mk_required, marked_on_m1:
     if marked_on_m1:
         on = inp.on_p1(inp.at("M1")[0])
         rows.check("marked-point-on-mobile", "p1 on M1" if on else "p1 not on M1", "p1 on M1", on)
-    for p in shared.g_m1:
-        rows.check("section-pairing-bound", p, "<= 2", p <= 2)
+    rows.add(shared.pairing_rows)
 
 
 def _fixed_part_pairing(rows: _Rows):
@@ -292,15 +330,12 @@ def _scroll_rows(rows: _Rows, inp: RationalTypeInput):
     """Coordinate split of the class identity on a ruled minimal surface,
     and the excess product forced by the fixed-part pairing."""
     n = inp.y_min.b
-    f_total = sum(c.g * c.cls.coeffs[0] for c in inp.components)
-    s_total = sum(c.g * c.cls.coeffs[1] for c in inp.components)
-    rows.check("f-degree", f_total, 2 * n + 4)
-    rows.check("s0-degree", s_total, 4)
-    m1 = inp.mobile
-    if m1.cls.coeffs[1] == 1:  # a section: M1 ~ a f + s0
-        a = m1.cls.coeffs[0]
-        gb = sum(c.g * c.cls.coeffs[1] for c in inp.parts("G"))
-        rows.check("ruling-excess-product", (a - n) * (3 - gb), 0)
+    shared = rows.shared
+    rows.check("f-degree", shared.f_total, 2 * n + 4)
+    rows.check("s0-degree", shared.s_total, 4)
+    a, b = inp.mobile.cls.coeffs
+    if b == 1:  # a section: M1 ~ a f + s0
+        rows.check("ruling-excess-product", (a - n) * (3 - shared.g_s_total), 0)
     else:
         # mobile part lies in the ruling, so the excess identity is vacuous
         rows.check(
@@ -309,11 +344,6 @@ def _scroll_rows(rows: _Rows, inp: RationalTypeInput):
             "(a - n)(3 - sum g_i b_i) = 0",
             True,
         )
-
-
-def _roles_multiset(inp: RationalTypeInput, role: str) -> str:
-    parts = sorted(f"{c.g}x{_shape_name(inp, c.cls)}" for c in inp.parts(role))
-    return "+".join(parts) if parts else "none"
 
 
 def _incidence_row(rows: _Rows, inp: RationalTypeInput, required: dict) -> None:
@@ -334,8 +364,8 @@ def _incidence_row(rows: _Rows, inp: RationalTypeInput, required: dict) -> None:
     )
 
 
-def _is(inp, c, name) -> bool:
-    return _shape_name(inp, c.cls) == name
+def _is(rows, c, name) -> bool:
+    return rows.shared.shape[c.cls.coeffs] == name
 
 
 # ---------------------------------------------------------------- P2 cases
@@ -344,7 +374,7 @@ def _is(inp, c, name) -> bool:
 def _case_1(inp, rows):
     g_at, h_at = inp.at("G"), inp.at("H")
     _common_rows(rows, inp, [(0, 1)], marked_on_m1=True)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "line")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "2xconic")
     rows.check("residual-shape", rows.shared.shapes["H"], "1xline")
     if g_at and h_at:
@@ -353,13 +383,13 @@ def _case_1(inp, rows):
 
 
 def _case_2(inp, rows):
-    gs, hs = inp.parts("G"), inp.parts("H")
+    gs, hs = rows.shared.parts["G"], rows.shared.parts["H"]
     _common_rows(rows, inp, [(0, 1), (0, 2)], marked_on_m1=True)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "line")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "2xline")
     rows.check(
         "residual-shape",
-        all(_is(inp, h, "line") for h in hs) and bool(hs),
+        all(_is(rows, h, "line") for h in hs) and bool(hs),
         True,
     )
     rows.check("residual-count", sum(h.g for h in hs), 4 - inp.k)
@@ -373,7 +403,7 @@ def _case_2(inp, rows):
 def _case_3(inp, rows):
     g_at, h_at = inp.at("G"), inp.at("H")
     _common_rows(rows, inp, [(0, 1)], marked_on_m1=True)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "line")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "2xconic")
     rows.check("residual-shape", rows.shared.shapes["H"], "1xline")
     if g_at and h_at:
@@ -385,12 +415,12 @@ def _case_3(inp, rows):
 
 
 def _case_4(inp, rows):
-    hs = inp.parts("H")
+    hs = rows.shared.parts["H"]
     _common_rows(rows, inp, [(0, kk) for kk in range(1, 7)], marked_on_m1=True)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "line")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "none")
     rows.check(
-        "residual-shape", all(_is(inp, h, "line") for h in hs) and bool(hs), True
+        "residual-shape", all(_is(rows, h, "line") for h in hs) and bool(hs), True
     )
     rows.check("residual-count", sum(h.g for h in hs), 6 - inp.k)
     _incidence_row(rows, inp, dict.fromkeys(inp.at("H"), True))
@@ -398,11 +428,11 @@ def _case_4(inp, rows):
 
 
 def _case_5(inp, rows):
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     _common_rows(rows, inp, [(1, 1)], marked_on_m1=False)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
-    conics = [c for c in gs if _is(inp, c, "conic")]
-    lines = [c for c in gs if _is(inp, c, "line")]
+    rows.check("mobile-shape", rows.shared.mobile_shape, "line")
+    conics = [c for c in gs if _is(rows, c, "conic")]
+    lines = [c for c in gs if _is(rows, c, "line")]
     rows.check("fixed-part-shape", len(conics) == 1 and len(lines) == len(gs) - 1, True)
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     if conics:
@@ -416,11 +446,11 @@ def _case_5(inp, rows):
 
 
 def _case_6(inp, rows):
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     _common_rows(rows, inp, [(1, 1)], marked_on_m1=False)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "line")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "line")
     rows.check(
-        "fixed-part-shape", all(_is(inp, c, "line") for c in gs) and bool(gs), True
+        "fixed-part-shape", all(_is(rows, c, "line") for c in gs) and bool(gs), True
     )
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     rows.check("coefficient-sum", sum(c.g for c in gs), 5)
@@ -434,7 +464,7 @@ def _case_6(inp, rows):
 def _case_7(inp, rows):
     g_at = inp.at("G")
     _common_rows(rows, inp, [(3, 1)], marked_on_m1=True)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "conic")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "conic")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "1xline+3xline")
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     triple = [i for i in g_at if inp.components[i].g == 3]
@@ -446,11 +476,11 @@ def _case_7(inp, rows):
 
 
 def _case_8(inp, rows):
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     _common_rows(rows, inp, [(3, 1)], marked_on_m1=True)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "conic")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "conic")
     rows.check(
-        "fixed-part-shape", all(_is(inp, c, "line") for c in gs) and bool(gs), True
+        "fixed-part-shape", all(_is(rows, c, "line") for c in gs) and bool(gs), True
     )
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     rows.check("coefficient-sum", sum(c.g for c in gs), 4)
@@ -474,7 +504,7 @@ def _case_8(inp, rows):
 
 def _case_9(inp, rows):
     _common_rows(rows, inp, [(4, 1)], marked_on_m1=False)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "conic")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "conic")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "4xline")
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     _fixed_part_pairing(rows)
@@ -493,9 +523,9 @@ def _split_fibers(inp, comps):
 
 
 def _case_10(inp, rows):
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     _common_rows(rows, inp, [(2, 1)], marked_on_m1=False)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "section(1f+s0)")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "section(1f+s0)")
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     sections = [c for c in gs if c.cls.coeffs[:2] == (1, 1)]
     f_fib, s_fib, rest = _split_fibers(inp, [c for c in gs if c.cls.coeffs[:2] != (1, 1)])
@@ -518,9 +548,9 @@ def _case_10(inp, rows):
 
 
 def _case_11(inp, rows):
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     _common_rows(rows, inp, [(2, 1)], marked_on_m1=False)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "section(1f+s0)")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "section(1f+s0)")
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     f_fib, s_fib, rest = _split_fibers(inp, gs)
     rows.check("fixed-part-shape", not rest and bool(gs), True)
@@ -538,10 +568,10 @@ def _case_11(inp, rows):
 
 
 def _case_12(inp, rows):
-    gs, hs = inp.parts("G"), inp.parts("H")
+    gs, hs = rows.shared.parts["G"], rows.shared.parts["H"]
     _common_rows(rows, inp, [(2, 1)], marked_on_m1=False)
     rows.check("minimal-model", str(inp.y_min), "F2")
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "section(2f+s0)")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "section(2f+s0)")
     h = sum(c.g for c in hs)
     rows.check(
         "residual-shape",
@@ -568,14 +598,14 @@ def _case_12(inp, rows):
 
 
 def _case_13(inp, rows):
-    hs = inp.parts("H")
+    hs = rows.shared.parts["H"]
     b = inp.y_min.b
     _common_rows(rows, inp, [(0, kk) for kk in range(1, 2 * (b + 2))], marked_on_m1=False)
     rows.check("minimal-model", f"b = {b}", "b >= 2", b >= 2)
-    rows.check("mobile-shape", _shape_name(inp, inp.mobile.cls), "fiber")
+    rows.check("mobile-shape", rows.shared.mobile_shape, "fiber")
     rows.check("fixed-part-shape", rows.shared.shapes["G"], "4xnegative-section")
     rows.check(
-        "residual-shape", all(_is(inp, h, "fiber") for h in hs), True
+        "residual-shape", all(_is(rows, h, "fiber") for h in hs), True
     )
     rows.check("residual-count", sum(h.g for h in hs), 2 * (b + 2) - inp.k)
     _scroll_rows(rows, inp)
@@ -584,7 +614,7 @@ def _case_13(inp, rows):
 
 def _section_case(inp, rows, b_required, g1_required, fiber_sum, pairing):
     """Shared shape logic for the three negative-section scroll cases."""
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     b = inp.y_min.b
     rows.check("minimal-model", f"b = {b}", f"b = {b_required}", b == b_required)
     # the section class a f + s0 with a = (m + b)/2 reproduces M1^2 = m
@@ -622,14 +652,14 @@ def _case_15(inp, rows):
 
 
 def _case_16(inp, rows):
-    gs = inp.parts("G")
+    gs = rows.shared.parts["G"]
     _common_rows(rows, inp, [(inp.m, 1)] if inp.m >= 3 else [], marked_on_m1=False)
     b = inp.y_min.b
     rows.check("mobile-degree-range", inp.m, ">= 3", inp.m >= 3)
     rows.check("minimal-model", f"b = {b}", f"b = m = {inp.m}", b == inp.m)
     rows.check("mobile-shape", inp.mobile.cls.coeffs[:2], (inp.m, 1))
     rows.check(
-        "fixed-part-shape", all(_is(inp, c, "fiber") for c in gs) and bool(gs), True
+        "fixed-part-shape", all(_is(rows, c, "fiber") for c in gs) and bool(gs), True
     )
     rows.check("fiber-sum", sum(c.g for c in gs), inp.m + 4)
     rows.check("residual-shape", rows.shared.shapes["H"], "3xnegative-section")

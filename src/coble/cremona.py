@@ -28,7 +28,8 @@ reflection of a descending list (``_reflect_in_place``).  The reducer keeps
 the degree and that one list across its steps, and since each step leaves
 the list descending and positive, the vectors of its trace are built without
 re-checking (``_canonical_vector``).  A reduction that needs more than
-``MAX_REDUCTION_STEPS`` steps stops with ``ReductionBudgetExceeded``.
+``MAX_REDUCTION_STEPS`` steps, or whose trace would store more than
+``MAX_TRACE_ENTRIES`` multiplicities, stops with ``ReductionBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -290,8 +291,9 @@ class ReductionError(ValueError):
 
 
 class ReductionBudgetExceeded(ReductionError):
-    """Raised when a reduction needs more than ``MAX_REDUCTION_STEPS`` steps;
-    carries the partial trace of the steps taken."""
+    """Raised when a reduction needs more than ``MAX_REDUCTION_STEPS`` steps
+    or more than ``MAX_TRACE_ENTRIES`` stored multiplicities; carries the
+    partial trace of the steps taken."""
 
 
 # Each step keeps its vector in the trace, about 510 B on nine points.  A
@@ -300,6 +302,16 @@ class ReductionBudgetExceeded(ReductionError):
 # (3n^2; n^2+n, n^2 six times, n^2-1, n^2-n) takes 4(n-1) steps, so it
 # reduces within the budget up to n = 25,001, a degree of about 1.9 * 10^9.
 MAX_REDUCTION_STEPS = 100_000
+
+# Each step's vector stores all k points, and simple points leave the genus
+# proxy at 0, so k has no bound of its own: the trace also stops at this many
+# stored multiplicities in all, at about 7.6 B each (2-vCPU x86-64, Python
+# 3.11).  The vector above at n = 500 with 4,000 simple points added (1,996
+# steps) is refused after 1,247 steps, 0.11 s and 38 MB.  With 41 simple
+# points both budgets bind at once (100,000 steps of 50 entries), the
+# costliest refusal: 0.8-0.9 s and 83 MB.  At n = 18,257 (d about 10^9, no
+# simple points) the trace stores 0.66 M entries.
+MAX_TRACE_ENTRIES = 5_000_000
 
 _QUINTIC_SHAPE = (2, 2, 2, 2, 2, 2)
 
@@ -310,8 +322,10 @@ def noether_reduce(v: MultiplicityVector, force: bool = False, use_quintic: bool
     Requires the genus proxy to vanish (an irreducible rational curve)
     unless ``force`` is set.  The degree strictly decreases at every step,
     so the reduction ends; a reduction that needs more than
-    ``MAX_REDUCTION_STEPS`` steps raises ``ReductionBudgetExceeded``.  The
-    trace records each step with the multiplicities used as centers.
+    ``MAX_REDUCTION_STEPS`` steps, or whose step vectors hold more than
+    ``MAX_TRACE_ENTRIES`` multiplicities in all, raises
+    ``ReductionBudgetExceeded``.  The trace records each step with the
+    multiplicities used as centers.
 
     TESTS::
 
@@ -328,6 +342,7 @@ def noether_reduce(v: MultiplicityVector, force: bool = False, use_quintic: bool
             "curve vector; pass force=True to reduce anyway"
         )
     steps: list[ReductionStep] = []
+    entries = 0  # multiplicities stored by the step vectors so far
     d, ms = v.d, list(v.mults)  # ms stays descending, so the singular points lead
     while True:
         # the singular part is exactly (5; 2,2,2,2,2,2)
@@ -351,6 +366,15 @@ def noether_reduce(v: MultiplicityVector, force: bool = False, use_quintic: bool
             d = _reflect_in_place(d, ms, a, centers)
         except TransformNotAdmissible as exc:
             raise ReductionError(str(exc), v, steps) from exc
+        entries += len(ms)
+        if entries > MAX_TRACE_ENTRIES:
+            raise ReductionBudgetExceeded(
+                f"reduction of {v} stopped after {len(steps)} steps: its trace needs "
+                f"more than the budget of {MAX_TRACE_ENTRIES} stored multiplicities "
+                "(MAX_TRACE_ENTRIES)",
+                v,
+                steps,
+            )
         steps.append(ReductionStep(op, top, 0 in top, _canonical_vector(d, ms)))
     return ReductionResult(v, tuple(steps), steps[-1].result if steps else v)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from coble.classify import (
     minimality_check,
     terminal_shape,
 )
+from coble.cli import main
 from coble.config import CurveConfiguration, Edge, Node
 from coble.lattice import P2, Hirzebruch, make_lattice
 
@@ -306,6 +308,95 @@ INPUTS = {
 def test_report_bytes_are_pinned(key):
     text = json.dumps(match_rational_case(INPUTS[key]).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[key]
+
+
+# `coble classify` on each pinned input: the exit code and stdout of every
+# run, in the order of REPORT_SHA256's keys, hashed together
+CLI_SHA256 = {
+    "human": "0cb475c6641e8b51f5b2b6d7034d90cbc0b0db1067e8552fef7fc65ff8895067",
+    "json": "9eb468fd34758ff7fd700cb41858a8ce5137bd6f42bcb2a990b70fd2a65fe86a",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CLI_SHA256))
+def test_cli_output_is_pinned(mode, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    digest = hashlib.sha256()
+    for key in sorted(REPORT_SHA256, key=str):
+        path.write_text(json.dumps(INPUTS[key].to_json()))
+        code = main(["classify", "--input", str(path)] + (["--json"] if mode == "json" else []))
+        out, err = capsys.readouterr()
+        assert err == "", key
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CLI_SHA256[mode]
+
+
+BASES = (P2(), Hirzebruch(0), Hirzebruch(1), Hirzebruch(2), Hirzebruch(3), Hirzebruch(4))
+SMALL_RULED = [(a, b) for a in range(4) for b in range(3) if a or b]
+
+
+def small_class(rng, base):
+    lat = make_lattice(base, 0)
+    if isinstance(base, P2):
+        return lat.make_class([rng.randint(1, 3)])
+    return lat.make_class(list(rng.choice(SMALL_RULED)))
+
+
+def random_marked_point(rng, n):
+    if rng.random() < 0.4:
+        return None
+    return MarkedPoint(tuple(sorted(rng.sample(range(n), rng.randint(0, n)))))
+
+
+def random_input(rng):
+    """Random small data: one M1 with g = k and up to six G or H parts."""
+    base = rng.choice(BASES)
+    k = rng.randint(1, 4)
+    comps = [C("M1", k, small_class(rng, base))] + [
+        C(rng.choice("GH"), rng.randint(1, 5), small_class(rng, base)) for _ in range(rng.randint(0, 6))
+    ]
+    rng.shuffle(comps)
+    return RationalTypeInput(base, k, rng.randint(0, 6), tuple(comps), random_marked_point(rng, len(comps)))
+
+
+def golden_variant(rng):
+    """A golden input, kept as it is or with one field redrawn."""
+    inp = GOLDEN[rng.randint(1, 16)]
+    base, k, m, comps, marked = inp.y_min, inp.k, inp.m, list(inp.components), inp.marked_point
+    what, i = rng.randrange(6), rng.randrange(len(comps))
+    if what == 1 and comps[i].role != "M1":
+        comps[i] = C(comps[i].role, rng.randint(1, 5), comps[i].cls)
+    elif what == 2:
+        comps[i] = C(comps[i].role, comps[i].g, small_class(rng, base))
+    elif what == 3:
+        marked = random_marked_point(rng, len(comps))
+    elif what == 4:
+        m = rng.randint(0, 6)
+    elif what == 5:
+        k = rng.randint(1, 4)
+        comps = [C("M1", k, c.cls) if c.role == "M1" else c for c in comps]
+    return RationalTypeInput(base, k, m, tuple(comps), marked)
+
+
+def generated_inputs(count=400, seed=2026):
+    """Valid inputs on P2 and F0-F4, alternately random and golden variants."""
+    rng = random.Random(seed)
+    return [(random_input if i % 2 else golden_variant)(rng) for i in range(count)]
+
+
+GENERATED_SHA256 = "dffd414a109c14959b11f466992b56b27fa6a7916b10caad9e96a7e8353b877d"
+
+
+def test_generated_reports_are_pinned():
+    digest, matched = hashlib.sha256(), set()
+    for inp in generated_inputs():
+        report = match_rational_case(inp)
+        cases = sorted({row.case for row in report.constraint_log})
+        assert report.matched_cases == tuple(c for c in cases if not report.failures(c))
+        matched.update(report.matched_cases)
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert matched == set(range(1, 17))
+    assert digest.hexdigest() == GENERATED_SHA256
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

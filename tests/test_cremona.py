@@ -343,3 +343,24 @@ def test_step_budget(monkeypatch, capsys):
     assert captured.err == f"error: {exc.value}\n"
     assert main(["reduce", "(7;3,3,3,3,3)"]) == 1
     assert capsys.readouterr().err.startswith("reduction failed: ")
+
+
+def test_trace_entry_budget(monkeypatch, capsys):
+    # simple points keep the vector rational and lengthen every stored step
+    v = make_vector(300, nine_point_vector(10).mults + (1,) * 20)
+    full = noether_reduce(v)
+    entries = sum(len(s.result.mults) for s in full.steps)
+    assert len(full.steps) == 36 and entries > 36 * 20
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", entries)
+    assert noether_reduce(v) == full  # a trace may fill the whole budget
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", entries - 1)
+    with pytest.raises(ReductionBudgetExceeded) as exc:
+        noether_reduce(v)
+    assert str(exc.value) == (
+        f"reduction of {v} stopped after 35 steps: its trace needs more than the "
+        f"budget of {entries - 1} stored multiplicities (MAX_TRACE_ENTRIES)"
+    )
+    assert exc.value.partial.steps == full.steps[:35]
+    assert main(["reduce", str(v)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {exc.value}\n"
