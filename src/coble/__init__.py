@@ -6,7 +6,6 @@ recognition, and the associated classification predicates.
 
 from .lattice import (
     Base,
-    CurveShape,
     DivisorClass,
     Hirzebruch,
     IntersectionLattice,
@@ -18,7 +17,6 @@ from .lattice import (
     pair,
     reflect,
     riemann_roch_chi,
-    special_h0,
     weighted_sum,
 )
 from .config import (
@@ -61,7 +59,6 @@ from .cremona import (
     to_class,
 )
 from .negcurves import (
-    basic_surface_check,
     enumerate_negative_classes,
     exceptional_pairing_growth,
 )

@@ -21,6 +21,7 @@ bookkeeping exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .config import CurveConfiguration, Edge, Node
@@ -106,9 +107,6 @@ class BlowUpSequence:
         if cid not in self._position:
             raise KeyError(f"unknown center {cid!r}")
         return self.centers[self._position[cid]]
-
-    def children(self, cid: str) -> tuple[str, ...]:
-        return tuple(self._lattice.basis_labels[i] for i in self._children.get(cid, ()))
 
     def exceptional(self, cid: str) -> DivisorClass:
         """Total transform class of the exceptional curve over a center."""
@@ -220,41 +218,23 @@ def proper_transform(seq: BlowUpSequence, c: CurveAssignment) -> DivisorClass:
     return _class_of(seq, _proper(seq, c))
 
 
-def configuration_from_classes(entries, overrides=None, triples=()) -> CurveConfiguration:
+def configuration_from_classes(entries) -> CurveConfiguration:
     """Build a dual-graph configuration from named divisor classes.
 
-    ``entries`` is a list of (id, DivisorClass, genus, mult) or
-    (id, DivisorClass, genus, mult, sing) tuples.  Self-intersections and
-    pairwise intersection numbers come from the lattice; a positive pairing
-    p between two ids becomes an edge with count p and tangency 1 unless
-    ``overrides[(a, b)] = {"count": c, "tangency": t}`` (with c*t = p)
-    says otherwise.  ``triples`` passes through to the configuration.
+    ``entries`` is a list of (id, DivisorClass, genus, mult) tuples.
+    Self-intersections and pairwise intersection numbers come from the
+    lattice; a positive pairing p between two ids becomes an edge with
+    count p and tangency 1.
     """
-    overrides = {frozenset(k): v for k, v in (overrides or {}).items()}
-    nodes = []
-    classes = {}
-    for entry in entries:
-        nid, cls, genus, mult = entry[:4]
-        sing = entry[4] if len(entry) > 4 else None
-        nodes.append(Node(nid, self_int=cls.self_intersection(), genus=genus, mult=mult, sing=sing))
-        classes[nid] = cls
+    nodes, classes = [], []
+    for nid, cls, genus, mult in entries:
+        nodes.append(Node(nid, self_int=cls.self_intersection(), genus=genus, mult=mult))
+        classes.append(cls)
     edges = []
-    ids = [n.id for n in nodes]
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            p = pair(classes[a], classes[b])
-            if p < 0:
-                raise ValueError(f"classes {a},{b} pair negatively ({p}); not distinct curves")
-            if p == 0:
-                continue
-            ov = overrides.get(frozenset((a, b)))
-            if ov:
-                count, tangency = int(ov.get("count", 1)), int(ov.get("tangency", 1))
-                if count * tangency != p:
-                    raise ValueError(
-                        f"override for {a},{b} gives {count}*{tangency} != pairing {p}"
-                    )
-            else:
-                count, tangency = p, 1
-            edges.append(Edge(a, b, count=count, tangency=tangency))
-    return CurveConfiguration(tuple(nodes), tuple(edges), tuple(tuple(t) for t in triples))
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        a, b, p = nodes[i].id, nodes[j].id, pair(classes[i], classes[j])
+        if p < 0:
+            raise ValueError(f"classes {a},{b} pair negatively ({p}); not distinct curves")
+        if p:
+            edges.append(Edge(a, b, count=p))
+    return CurveConfiguration(tuple(nodes), tuple(edges))

@@ -280,7 +280,16 @@ class _Rows:
         return passed
 
     def add(self, rows) -> None:
-        """Append (name, actual, required, passed) rows computed in ``_shared``."""
+        """Append (name, actual, required, passed) rows computed in ``_shared``.
+
+        No input of the sixteen cases fails these rows alone, so no test
+        sees ``ok`` cleared here first.  On P2 each case's shape and count
+        rows fix deg Gamma = 6, which is the anticanonical row; on F_b that
+        row is the f-degree and s0-degree rows of ``_scroll_rows`` together,
+        and every ruled case runs them.  Likewise the shape rows bound every
+        G_i . M1 by 2, save the negative section of cases 14 and 15, whose
+        section-mobile-pairing row pins it to 1 or 2.
+        """
         case = self.case
         for r in rows:
             self.rows.append(_row((case, *r)))
@@ -514,7 +523,7 @@ def _case_9(inp, rows):
 # ------------------------------------------------------------ ruled cases
 
 
-def _split_fibers(inp, comps):
+def _split_fibers(comps):
     """Partition Hirzebruch G-components into (f-ruling, other-ruling, rest)."""
     f_fibers = [c for c in comps if c.cls.coeffs[:2] == (1, 0)]
     s_fibers = [c for c in comps if c.cls.coeffs[:2] == (0, 1)]
@@ -528,7 +537,7 @@ def _case_10(inp, rows):
     rows.check("mobile-shape", rows.shared.mobile_shape, "section(1f+s0)")
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
     sections = [c for c in gs if c.cls.coeffs[:2] == (1, 1)]
-    f_fib, s_fib, rest = _split_fibers(inp, [c for c in gs if c.cls.coeffs[:2] != (1, 1)])
+    f_fib, s_fib, rest = _split_fibers([c for c in gs if c.cls.coeffs[:2] != (1, 1)])
     rows.check("fixed-part-shape", len(sections) == 1 and not rest, True)
     if sections:
         g1 = sections[0].g
@@ -552,7 +561,7 @@ def _case_11(inp, rows):
     _common_rows(rows, inp, [(2, 1)], marked_on_m1=False)
     rows.check("mobile-shape", rows.shared.mobile_shape, "section(1f+s0)")
     rows.check("residual-shape", rows.shared.shapes["H"], "none")
-    f_fib, s_fib, rest = _split_fibers(inp, gs)
+    f_fib, s_fib, rest = _split_fibers(gs)
     rows.check("fixed-part-shape", not rest and bool(gs), True)
     rows.check(
         "ruling-balance",

@@ -24,7 +24,9 @@ from .negcurves import enumerate_negative_classes
 
 def _emit(data, as_json: bool, human):
     if as_json:
-        print(json.dumps(data, indent=1))
+        # written piece by piece, so no second copy of the output is built
+        json.dump(data, sys.stdout, indent=1)
+        print()
     else:
         human(data)
 

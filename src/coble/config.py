@@ -75,14 +75,14 @@ MAX_DISTINCT_COMPONENTS = 20
 # on a 2-core x86_64 VM); admits the I8* fiber's 314,928.
 MAX_DECOMPOSITIONS = 4_000_000
 
-# Above this many decompositions the scan runs in numpy blocks rather than
-# Python integers; both paths are exact.
+# Above this many decompositions the scan runs in int64 numpy blocks rather
+# than Python integers, unless a pairing could pass int64; both are exact.
 _VECTORIZE_THRESHOLD = 4096
 _FIRST_BLOCK = 256
 _MAX_BLOCK = 32_768
 _INT64_MAX = 2**63 - 1
-# Python-integer blocks, used when a pairing could pass int64, scan about
-# this many times slower than int64 ones at 20 components.
+# The Python-integer scan, taken whenever a pairing could pass int64, runs
+# about this many times slower than int64 blocks at 20 components.
 _PYTHON_INT_SLOWDOWN = 20
 
 
@@ -335,11 +335,10 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
       (``_least_proper_pairing``), in Python integers.
     * Any other support scans D1 over the box of prod(m_i + 1)
       decompositions up to its midpoint, since D1 and D - D1 pair alike: in
-      Python integers up to ``_VECTORIZE_THRESHOLD`` decompositions, above
-      it in numpy blocks of at most ``_MAX_BLOCK`` rows, in int64 when every
-      pairing fits and in Python integers when one might not, stopping at
-      the first violation.  Only the scan builds a dense Gram, over the
-      support alone.
+      int64 numpy blocks of at most ``_MAX_BLOCK`` rows above
+      ``_VECTORIZE_THRESHOLD`` decompositions when every pairing fits, and
+      in Python integers otherwise, stopping at the first violation.  Only
+      the scan builds a dense Gram, over the support alone.
     """
     mults = cfg._support(subset)
     if not mults:
@@ -381,8 +380,8 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
     sub_gram = [[cfg.adjacency[i].get(j, (0, 0))[0] for j in mults] for i in mults]
     for p, i in enumerate(mults):
         sub_gram[p][p] = cfg.nodes[i].self_int
-    if total > _VECTORIZE_THRESHOLD:
-        return _k_connected_blocked(sub_gram, sub_m, d, np.int64 if in_int64 else object, k)
+    if total > _VECTORIZE_THRESHOLD and in_int64:
+        return _k_connected_blocked(sub_gram, sub_m, d, k)
     diag = [sub_gram[p][p] for p in range(len(sub_m))]
     meets = [(p, q, g) for p, row in enumerate(sub_gram) for q, g in enumerate(row) if p < q and g]
     # mixed-radix index i is D1 and total - 1 - i is D - D1, so the proper
@@ -470,21 +469,20 @@ def _fold(proper: list, full: int, child_proper: list, child_full: int, e: int) 
     return out, full + child_full - e * m * mc
 
 
-def _k_connected_blocked(sub_gram, sub_m, gd, dtype, k: int) -> bool:
-    """The scan of ``is_numerically_k_connected`` in numpy blocks.
+def _k_connected_blocked(sub_gram, sub_m, gd, k: int) -> bool:
+    """The scan of ``is_numerically_k_connected`` in int64 numpy blocks.
 
     Mixed-radix indices 1 .. (total - 1) // 2 are unravelled a block at a
     time, in O(block * r) memory; blocks start at ``_FIRST_BLOCK`` rows and
     double up to ``_MAX_BLOCK``, so an early violation costs little.
-    ``dtype`` is int64 when every value fits, else object (Python integers).
     """
-    g = np.array(sub_gram, dtype=dtype)
-    lin = np.array(gd, dtype=dtype)
+    g = np.array(sub_gram, dtype=np.int64)
+    lin = np.array(gd, dtype=np.int64)
     shape = tuple(m + 1 for m in sub_m)
     start, stop, block = 1, (math.prod(shape) + 1) // 2, _FIRST_BLOCK
     while start < stop:
         end = min(start + block, stop)
-        a = np.stack(np.unravel_index(np.arange(start, end), shape), axis=1).astype(dtype, copy=False)
+        a = np.stack(np.unravel_index(np.arange(start, end), shape), axis=1).astype(np.int64, copy=False)
         if np.any(a @ lin - ((a @ g) * a).sum(axis=1) < k):
             return False
         start, block = end, min(2 * block, _MAX_BLOCK)

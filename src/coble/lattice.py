@@ -32,7 +32,6 @@ rather than a silent mispairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import compress
 from math import gcd
 from operator import index, mul
@@ -356,42 +355,6 @@ def reflect(x: DivisorClass, root: DivisorClass) -> DivisorClass:
     if pair(root, root) != -2:
         raise ValueError(f"reflection root must have self-intersection -2, got {pair(root, root)}")
     return x + pair(x, root) * root
-
-
-class CurveShape(Enum):
-    SMOOTH_RATIONAL = "smooth-rational"
-    GENUS1_IRREDUCIBLE = "genus1-irreducible"
-
-
-def special_h0(l: DivisorClass, shape: CurveShape) -> int:
-    """h^0 of the line bundle O(L) restricted by a known curve shape.
-
-    A smooth rational curve with L^2 >= 0 carries h^0 = 2 + L^2; an
-    irreducible curve of arithmetic genus one with L^2 >= 1 carries
-    h^0 = L^2 + 1.
-
-    TESTS::
-
-        >>> lat = make_lattice(P2(), 1)
-        >>> special_h0(lat.make_class([1, -1]), CurveShape.SMOOTH_RATIONAL)
-        2
-        >>> special_h0(lat.make_class([3, 0]), CurveShape.GENUS1_IRREDUCIBLE)
-        10
-    """
-    sq = pair(l, l)
-    if shape is CurveShape.SMOOTH_RATIONAL:
-        if sq < 0:
-            raise ValueError(f"smooth rational shape needs L^2 >= 0, got {sq}")
-        return 2 + sq
-    if shape is CurveShape.GENUS1_IRREDUCIBLE:
-        if sq < 1:
-            raise ValueError(f"genus-one shape needs L^2 >= 1, got {sq}")
-        if arithmetic_genus(l) != 1:
-            raise ValueError(
-                f"genus-one shape needs arithmetic genus 1, got {arithmetic_genus(l)}"
-            )
-        return sq + 1
-    raise ValueError(f"unknown shape {shape!r}")
 
 
 def canonical_orthogonal_basis(lat: IntersectionLattice) -> list[DivisorClass]:

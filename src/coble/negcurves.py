@@ -353,51 +353,3 @@ def _assert_difference_identity(a: np.ndarray, sign: np.ndarray, cells: int = 1 
             raise AssertionError(
                 f"difference identity fails for pair ({lo + bad[0][0]}, {bad[0][1]})"
             )
-
-
-@dataclass(frozen=True)
-class BasicSurfaceReport:
-    offenders: tuple[DivisorClass, ...]
-    k_squared: int
-    hypothesis_satisfied: bool
-    k_squared_below_8: bool
-
-    def summary(self) -> str:
-        if self.hypothesis_satisfied:
-            return (
-                "no configured curve has self-intersection <= -3 "
-                f"(K^2 = {self.k_squared})"
-            )
-        worst = min(c.self_intersection() for c in self.offenders)
-        return (
-            f"{len(self.offenders)} curve(s) with self-intersection <= -3 "
-            f"(worst {worst}); the surface cannot be basic with these present"
-        )
-
-
-def basic_surface_check(classes) -> BasicSurfaceReport:
-    """Flag configured curves with self-intersection <= -3.
-
-    A surface dominating the plane cannot carry such rational curves among
-    the curves contracted along the way, so any offender obstructs
-    basicness; the K^2 < 8 side condition of the contraction argument is
-    reported alongside.
-
-    TESTS::
-
-        >>> lat = make_lattice(P2(), 10)
-        >>> sextic = lat.make_class([6] + [-2] * 10)
-        >>> basic_surface_check([sextic]).hypothesis_satisfied
-        False
-    """
-    classes = list(classes)
-    if not classes:
-        raise ValueError("need at least one class")
-    lat0 = classes[0].lattice
-    offenders = tuple(c for c in classes if c.self_intersection() <= -3)
-    return BasicSurfaceReport(
-        offenders=offenders,
-        k_squared=lat0.k_squared,
-        hypothesis_satisfied=not offenders,
-        k_squared_below_8=lat0.k_squared < 8,
-    )

@@ -59,7 +59,6 @@ def test_exceptional_classes():
     assert ep_irr.self_intersection() == -2
     assert pair(ep_irr, e_q) == 1
     assert seq.exceptional_proper("q") == e_q
-    assert seq.children("p") == ("q",)
 
 
 def test_lift_preserves_base_intersections():
@@ -294,20 +293,11 @@ def test_configuration_from_classes():
     assert {n.id: n.self_int for n in cfg.nodes} == {"L": -1, "E": -1}
     (edge,) = cfg.edges
     assert {edge.a, edge.b} == {"L", "E"} and edge.count == 1
-    # a pairing of 2 can be declared one tangential contact
+    # a pairing of 2 is an edge with count 2
     conic = lat.make_class((2, 0, 0))
     line = lat.make_class((1, 0, 0))
-    cfg2 = configuration_from_classes(
-        [("C", conic, 0, 1), ("L", line, 0, 1)],
-        overrides={("C", "L"): {"count": 1, "tangency": 2}},
-    )
-    (edge2,) = cfg2.edges
-    assert edge2.count == 1 and edge2.tangency == 2
-    with pytest.raises(ValueError, match="!= pairing"):
-        configuration_from_classes(
-            [("C", conic, 0, 1), ("L", line, 0, 1)],
-            overrides={("C", "L"): {"count": 2, "tangency": 2}},
-        )
+    (edge2,) = configuration_from_classes([("C", conic, 0, 1), ("L", line, 0, 1)]).edges
+    assert edge2.count == 2 and edge2.tangency == 1
     # two names for one class pair negatively: not a curve pair
     with pytest.raises(ValueError, match="pair negatively"):
         configuration_from_classes([("A", e_p, 0, 1), ("B", e_p, 0, 1)])

@@ -355,6 +355,27 @@ def test_catalog(capsys):
     assert code == 0 and len(data) == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "(6;3,3,2,2,2,2)"],
+    ["genus", "(5;2)"],
+    ["classify", "--input", CASE9_INPUT],
+    ["enumerate", "--points", "3", "--cap", "5"],
+    ["verify-example", "triangle-pencil"],
+    ["check-config", "--input", I2_CONFIG],
+    ["catalog"],
+])
+def test_json_output_is_one_indented_document(capsys, tmp_path, argv):
+    # the report is written to stdout piece by piece; the bytes are those of
+    # json.dumps with indent 1 and one closing newline
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -385,7 +385,8 @@ def test_numpy_switch_point():
 
 def test_scan_past_int64_is_exact():
     # every D1.D2 = x (m - x) 10^15 > 0, far past int64 at m = 5000; the
-    # closed form decides k = 1 and the scan k = 3 and the midpoint bound
+    # closed form decides k = 1, and one node is a forest, so the dynamic
+    # programme decides k = 3 and the midpoint bound
     for m in (4000, 5000):
         cfg = CurveConfiguration((Node("A", 10**15, mult=m),))
         assert is_numerically_k_connected(cfg, None, 1)
@@ -395,6 +396,38 @@ def test_scan_past_int64_is_exact():
         assert not is_numerically_k_connected(cfg, None, least + 1)
         d_sq, k_d = m * m * 10**15, m * (-2 - 10**15)
         assert divisor_pa(cfg) == (d_sq + k_d) // 2 + 1
+
+
+def _ring(n, self_int, mult):
+    nodes = tuple(Node(f"R{i}", self_int, mult=mult) for i in range(n))
+    return CurveConfiguration(nodes, tuple(Edge(f"R{i}", f"R{(i + 1) % n}") for i in range(n)))
+
+
+def test_scan_past_int64_on_cycles():
+    # cycles whose pairings may pass int64 are scanned in Python integers,
+    # on both sides of the 4,096 decompositions where int64 blocks start
+    s = 10**18
+    cases = []
+    for a in (3, 32):  # boxes of 49 and 4,225
+        # A, B meeting twice, both of multiplicity 2a: the Gram is negative
+        # definite, so the least D1.D2 is D^2 / 4, at D1 = D / 2
+        pair2 = CurveConfiguration(
+            (Node("A", -s, mult=2 * a), Node("B", -s, mult=2 * a)), (Edge("A", "B", count=2),)
+        )
+        cases.append((pair2, a * a * (4 - 2 * s)))
+    for n in (5, 13):  # boxes of 32 and 8,192
+        # D1 a proper set of reduced ring components cuts at least two edges
+        cases.append((_ring(n, -s, 1), 2))
+    cases.append((_ring(8, -s, 2), 8 * (2 - s)))  # 6,561: least at D / 2
+    for cfg, least in cases:
+        assert not config._is_forest(cfg, cfg._support(None))
+        box = _box(cfg)
+        for k, expected in ((least, True), (least + 1, False)):
+            if box > config._VECTORIZE_THRESHOLD:
+                assert not _uses_numpy(lambda: is_numerically_k_connected(cfg, None, k))
+            assert is_numerically_k_connected(cfg, None, k) is expected, (box, k)
+            if box <= 64:
+                assert exhaustive_k_connected(cfg, None, k) is expected, (box, k)
 
 
 def test_decomposition_budget():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from coble.lattice import (
     I64_MAX,
-    CurveShape,
     DivisorClass,
     Hirzebruch,
     LatticeMismatch,
@@ -22,7 +21,6 @@ from coble.lattice import (
     pair,
     reflect,
     riemann_roch_chi,
-    special_h0,
     weighted_sum,
 )
 
@@ -215,16 +213,6 @@ def test_canonical_orthogonal_basis_is_saturated():
                 _determinant([r[:j] + r[j + 1:] for r in rows]) for j in range(lat.rank)
             ]
             assert gcd(*minors) == 1, (base, n, minors)
-
-
-def test_special_h0_shapes():
-    lat = make_lattice(P2(), 1)
-    assert special_h0(lat.make_class([1, -1]), CurveShape.SMOOTH_RATIONAL) == 2
-    assert special_h0(lat.make_class([1, 0]), CurveShape.SMOOTH_RATIONAL) == 3
-    p2 = make_lattice(P2(), 0)
-    assert special_h0(p2.make_class([3]), CurveShape.GENUS1_IRREDUCIBLE) == 10
-    with pytest.raises(ValueError):
-        special_h0(lat.make_class([0, 1]), CurveShape.GENUS1_IRREDUCIBLE)
 
 
 def dense_gram(base, n):

@@ -17,7 +17,6 @@ from coble.negcurves import (
     _arrangements,
     _assert_difference_identity,
     _canonical_order,
-    basic_surface_check,
     enumerate_negative_classes,
     exceptional_pairing_growth,
 )
@@ -97,21 +96,6 @@ def test_pairing_growth_table():
     assert counts == sorted(counts) and counts[0] < counts[-1]
     with pytest.raises(ValueError, match="ascending"):
         exceptional_pairing_growth([3, 1])
-
-
-def test_basic_surface_check():
-    lat = make_lattice(P2(), 10)
-    sextic = lat.make_class([6] + [-2] * 10)
-    report = basic_surface_check([sextic])
-    assert not report.hypothesis_satisfied
-    assert report.offenders == (sextic,)
-    assert report.k_squared == -1 and report.k_squared_below_8
-    assert "cannot be basic" in report.summary()
-    clean = basic_surface_check([lat.basis_class("e1"), lat.make_class([1, -1, -1] + [0] * 8)])
-    assert clean.hypothesis_satisfied and clean.offenders == ()
-    assert "K^2 = -1" in clean.summary()
-    with pytest.raises(ValueError):
-        basic_surface_check([])
 
 
 # Reference path: the enumeration as it ran before arrangements were generated
