@@ -1,13 +1,16 @@
 """Exit codes and output of every CLI subcommand, human and JSON forms."""
 
 import dataclasses
+import hashlib
 import io
 import json
+import random
 import time
 
 import pytest
 
 from coble.cli import main
+from coble.fibers import FIBER_NAMES, kodaira_fiber
 
 I2_CONFIG = {
     "nodes": [{"id": "A", "self": -2}, {"id": "B", "self": -2}],
@@ -343,6 +346,66 @@ def test_check_config_past_the_scan_limits(capsys, tmp_path, data, p_a):
     assert time.perf_counter() - start < 1.0
     assert code == 0 and err == ""
     assert f"p_a: {p_a}" in out
+
+
+def _relabelled(rng, data):
+    """A model's JSON with its nodes renamed and both lists shuffled, and
+    each edge's ends swapped at random."""
+    nodes = [dict(n) for n in data["nodes"]]
+    rng.shuffle(nodes)
+    rename = {n["id"]: f"x{k}" for n, k in zip(nodes, rng.sample(range(100, 1000), len(nodes)))}
+    for n in nodes:
+        n["id"] = rename[n["id"]]
+    edges = [{**e, "a": rename[e["b"]], "b": rename[e["a"]]} if rng.random() < 0.5
+             else {**e, "a": rename[e["a"]], "b": rename[e["b"]]} for e in data["edges"]]
+    rng.shuffle(edges)
+    out = {"nodes": nodes, "edges": edges}
+    if "triples" in data:
+        out["triples"] = [rng.sample([rename[x] for x in t], 3) for t in data["triples"]]
+    return out
+
+
+def _edited(rng, data, edit):
+    """``data`` with one edit: an edge dropped, a self-intersection moved by
+    one, or a multiplicity, count or tangency raised by one."""
+    data = {**data, "nodes": [dict(n) for n in data["nodes"]], "edges": list(data["edges"])}
+    if edit in ("self", "mult"):
+        data["nodes"][rng.randrange(len(data["nodes"]))][edit] += 1 if edit == "mult" else rng.choice((-1, 1))
+    else:
+        k = rng.randrange(len(data["edges"]))
+        if edit == "drop":
+            data["edges"].pop(k)
+        else:
+            data["edges"][k] = {**data["edges"][k], edit: data["edges"][k][edit] + 1}
+    return data
+
+
+def kodaira_check_config_inputs(seed=27):
+    """Each of the 28 Kodaira models in two seeded relabellings, then each
+    one-edit variant of the first (edge edits only where there are edges)."""
+    rng, inputs = random.Random(seed), []
+    for name in FIBER_NAMES:
+        model = kodaira_fiber(name).to_json()
+        first = _relabelled(rng, model)
+        inputs += [first, _relabelled(rng, model)]
+        edits = ("drop", "self", "mult", "count", "tangency") if model["edges"] else ("self", "mult")
+        inputs += [_edited(rng, first, edit) for edit in edits]
+    return inputs
+
+
+# exit code and stdout of `coble check-config --json` on every input of
+# kodaira_check_config_inputs(), in order, hashed together
+KODAIRA_CHECK_CONFIG_SHA256 = "8907f588549e6e7744ffd1932468e62e79dd7b1e4ae96e67ff1aa65f89b4249a"
+
+
+def test_check_config_json_is_pinned_on_kodaira_models_and_edits(capsys, tmp_path):
+    path, digest = tmp_path / "cfg.json", hashlib.sha256()
+    for data in kodaira_check_config_inputs():
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["check-config", "--input", str(path), "--json"])
+        assert err == ""
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == KODAIRA_CHECK_CONFIG_SHA256
 
 
 def test_catalog(capsys):
