@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .config import UNDETERMINED, CurveConfiguration, check_snc, divisor_pa
 from .fibers import fiber_family
-from .lattice import Base, DivisorClass, P2, base_from_json, make_lattice, pair
+from .lattice import Base, DivisorClass, P2, _check_i64, base_from_json, make_lattice, pair
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,14 @@ def _shared(inp: RationalTypeInput) -> _Shared:
     # then each G_i . M1), so an OverflowError names the first value of that
     # order to leave the 64-bit range
     lat = make_lattice(inp.y_min, 0)
-    gamma = lat.zero()
+    total = [0] * lat.rank
     for c in inp.components:
-        gamma = gamma + c.g * c.cls
+        term = [c.g * a for a in c.cls.coeffs]
+        total = [x + y for x, y in zip(total, term)]
+        # as the class arithmetic checks them: g_i C_i, then the running sum
+        for value in term + total:
+            _check_i64(value)
+    gamma = DivisorClass(lat, tuple(total))
     minus_2k = -2 * lat.canonical
     m1 = inp.mobile.cls
     m1_square = m1.self_intersection()
@@ -878,7 +883,7 @@ def log_enriques_shape(cfg: CurveConfiguration) -> LogEnriquesReport:
     adjacency = cfg.adjacency
     ok = True
     chains, lone, degenerate = [], [], []
-    for comp in cfg.components(range(len(cfg.nodes))):
+    for comp in cfg.whole_components():
         nodes = [cfg.nodes[i] for i in comp]
         if any(n.mult != 1 or n.genus != 0 or n.sing is not None for n in nodes):
             ok = False

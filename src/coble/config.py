@@ -123,12 +123,27 @@ class Edge:
 
 @dataclass(frozen=True)
 class CurveConfiguration:
+    """Nodes, edges and triple points of a curve configuration.
+
+    ``__post_init__`` validates them and builds ``_index`` (node id ->
+    index) and ``adjacency``.  Two facts of the whole configuration are
+    derived on first use and then kept, each in O(n + e):
+    ``whole_components()``, its connected components, and
+    ``whole_degrees()``, the degrees D.C_i of the whole divisor
+    D = sum mult_i C_i.  ``divisor_pa`` and ``is_numerically_k_connected``
+    on the whole divisor, ``loop_inequality_check``'s cycle rank and
+    ``classify.log_enriques_shape`` read them rather than search again.
+    """
+
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...] = ()
     triple_points: tuple[tuple[str, str, str], ...] = ()
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
     # per node index: {neighbour index: (C_i.C_j, distinct points)}
     adjacency: tuple[dict[int, tuple[int, int]], ...] = field(init=False, repr=False, compare=False, hash=False)
+    # None until first read: see whole_components and whole_degrees
+    _components: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _degrees: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
@@ -147,6 +162,8 @@ class CurveConfiguration:
                 raise ValueError(f"triple point {t} must name three distinct nodes")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "_components", None)
+        object.__setattr__(self, "_degrees", None)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -196,6 +213,25 @@ class CurveConfiguration:
                     stack.extend(reached)
                 comps.append(sorted(comp))
         return comps
+
+    def whole_components(self) -> tuple[tuple[int, ...], ...]:
+        """``components`` of every node, derived on first use and kept."""
+        if self._components is None:
+            comps = tuple(map(tuple, self.components(range(len(self.nodes)))))
+            object.__setattr__(self, "_components", comps)
+        return self._components
+
+    def whole_degrees(self) -> tuple[int, ...]:
+        """D.C_i per node index for the whole divisor D = sum mult_i C_i,
+        derived on first use and kept."""
+        if self._degrees is None:
+            nodes = self.nodes
+            degrees = tuple(
+                n.self_int * n.mult + sum(p * nodes[j].mult for j, (p, _) in near.items())
+                for n, near in zip(nodes, self.adjacency)
+            )
+            object.__setattr__(self, "_degrees", degrees)
+        return self._degrees
 
     def canonical_degrees(self) -> list[int]:
         """K.C_i per component via adjunction: 2 genus - 2 - C_i^2."""
@@ -265,24 +301,62 @@ def _json_int(obj: dict, key: str, default=None) -> int:
 def config_from_json(data) -> CurveConfiguration:
     """Read a configuration from JSON text or its decoded object; a bad shape,
     no nodes, or a ``self``, ``genus``, ``mult``, ``count`` or ``tangency``
-    that is not a JSON integer raises ValueError naming the field."""
+    that is not a JSON integer raises ValueError naming the field.
+
+    Nodes and edges are checked and built in one pass per list.  At the
+    first item that pass does not accept, the lists are read again item by
+    item (``_json_list``, ``_json_int``) to word the refusal."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict) or not data.get("nodes"):
         raise ValueError("a configuration must be a JSON object with a nonempty 'nodes' list")
-    nodes = tuple(
-        Node(str(n["id"]), _json_int(n, "self"), _json_int(n, "genus", 0), _json_int(n, "mult", 1), n.get("sing"))
-        for n in _json_list(data, "nodes", dict, ("id",))
-    )
-    edges = tuple(
-        Edge(str(e["a"]), str(e["b"]), _json_int(e, "count", 1), _json_int(e, "tangency", 1))
-        for e in _json_list(data, "edges", dict, ("a", "b"))
-    )
+    try:
+        nodes = _in_one_pass(data["nodes"], _node_in_one_pass)
+        edges = _in_one_pass(data.get("edges", []), _edge_in_one_pass)
+    except ValueError:  # something to refuse: read the lists again to word it
+        nodes = tuple(
+            Node(str(n["id"]), _json_int(n, "self"), _json_int(n, "genus", 0), _json_int(n, "mult", 1), n.get("sing"))
+            for n in _json_list(data, "nodes", dict, ("id",))
+        )
+        edges = tuple(
+            Edge(str(e["a"]), str(e["b"]), _json_int(e, "count", 1), _json_int(e, "tangency", 1))
+            for e in _json_list(data, "edges", dict, ("a", "b"))
+        )
     triples = tuple(tuple(map(str, t)) for t in _json_list(data, "triples", list))
     return CurveConfiguration(nodes, edges, triples)
 
 
-def _zariski_verdict(cfg: CurveConfiguration, mults: dict, d: list[int], k: int):
+def _in_one_pass(items, read) -> tuple:
+    """``read`` applied to each item of a JSON list; anything but a list
+    raises ValueError unworded."""
+    if type(items) is not list:
+        raise ValueError
+    return tuple(map(read, items))
+
+
+def _node_in_one_pass(n) -> Node:
+    """A node from a JSON object with an ``id`` and integer ``self``,
+    ``genus`` and ``mult``; anything else raises ValueError unworded."""
+    if type(n) is not dict or "id" not in n:
+        raise ValueError
+    s, genus, mult = n.get("self"), n.get("genus", 0), n.get("mult", 1)
+    if type(s) is not int or type(genus) is not int or type(mult) is not int:
+        raise ValueError
+    return Node(str(n["id"]), s, genus, mult, n.get("sing"))
+
+
+def _edge_in_one_pass(e) -> Edge:
+    """An edge from a JSON object with ``a``, ``b`` and integer ``count``
+    and ``tangency``; anything else raises ValueError unworded."""
+    if type(e) is not dict or "a" not in e or "b" not in e:
+        raise ValueError
+    count, tangency = e.get("count", 1), e.get("tangency", 1)
+    if type(count) is not int or type(tangency) is not int:
+        raise ValueError
+    return Edge(str(e["a"]), str(e["b"]), count, tangency)
+
+
+def _zariski_verdict(cfg: CurveConfiguration, mults: dict, d: list[int], k: int, count: int):
     """Exact k-connectivity verdict for D nef on its connected support, or None.
 
     Applies when the support is connected and d_i = D.C_i >= 0 for every
@@ -295,9 +369,10 @@ def _zariski_verdict(cfg: CurveConfiguration, mults: dict, d: list[int], k: int)
     lemma): a proper such D1 exists iff gcd(m) > 1.  Since D1^2 = K.D1
     (mod 2), D1.D2 = sum_i x_i (d_i + K.C_i) (mod 2), so D1.D2 >= 1 gives
     D1.D2 >= 2 when every d_i + K.C_i is even.  ``mults`` maps the support's
-    node indices, in order, to their multiplicities and ``d`` lists the D.C_i.
+    node indices, in order, to their multiplicities, ``d`` lists the D.C_i
+    and ``count`` is the number of connected components of the support.
     """
-    if min(d) < 0 or len(cfg.components(list(mults))) != 1:
+    if min(d) < 0 or count != 1:
         return None
     if k <= 0:
         return True
@@ -340,15 +415,37 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
       in Python integers otherwise, stopping at the first violation.  Only
       the scan builds a dense Gram, over the support alone.
     """
-    mults = cfg._support(subset)
+    mults, comps, degrees = _support_facts(cfg, subset)
     if not mults:
         raise ValueError("empty divisor has no decompositions")
-    # D.C_i for every component of the support
-    d = [
-        cfg.nodes[i].self_int * m + sum(p * mults.get(j, 0) for j, (p, _) in cfg.adjacency[i].items())
+    if subset is None:
+        mults = dict(enumerate(mults))
+    return _k_connected(cfg, mults, [degrees[i] for i in mults], k, len(comps))
+
+
+def _support_facts(cfg: CurveConfiguration, subset):
+    """A sub-divisor D's multiplicities by node index, the connected
+    components of its support, and D.C_i by node index.  For the whole
+    divisor (``subset`` None) these are a list over all nodes and the
+    components and degrees that ``cfg`` keeps; otherwise the support as
+    {node index: multiplicity} in index order, and facts derived here in
+    O(support + its edges)."""
+    if subset is None:
+        return [n.mult for n in cfg.nodes], cfg.whole_components(), cfg.whole_degrees()
+    mults = cfg._support(subset)
+    degrees = {
+        i: cfg.nodes[i].self_int * m + sum(p * mults.get(j, 0) for j, (p, _) in cfg.adjacency[i].items())
         for i, m in mults.items()
-    ]
-    verdict = _zariski_verdict(cfg, mults, d, k)
+    }
+    return mults, cfg.components(list(mults)), degrees
+
+
+def _k_connected(cfg: CurveConfiguration, mults: dict, d: list[int], k: int, count: int) -> bool:
+    """``is_numerically_k_connected`` on a nonempty support given by node
+    index: ``mults`` maps the indices, in order, to their multiplicities,
+    ``d`` lists the D.C_i in the same order and ``count`` is the number of
+    the support's connected components."""
+    verdict = _zariski_verdict(cfg, mults, d, k, count)
     if verdict is not None:
         return verdict
     if len(mults) > MAX_DISTINCT_COMPONENTS:
@@ -374,7 +471,7 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
             f"decomposition budget exceeded: {total:,} decompositions, "
             f"more than {name} = {budget:,}"
         )
-    if _is_forest(cfg, mults):
+    if _is_forest(cfg, mults, count):
         least = _least_proper_pairing(cfg, mults, d)
         return least is None or least >= k
     sub_gram = [[cfg.adjacency[i].get(j, (0, 0))[0] for j in mults] for i in mults]
@@ -396,11 +493,12 @@ def is_numerically_k_connected(cfg: CurveConfiguration, subset, k: int) -> bool:
     return True
 
 
-def _is_forest(cfg: CurveConfiguration, mults: dict) -> bool:
+def _is_forest(cfg: CurveConfiguration, mults: dict, count: int) -> bool:
     """Whether the dual graph of the support, with one edge per intersection
-    point, has no cycle: it has as many edges as nodes minus components."""
+    point, has no cycle: it has as many edges as nodes minus its ``count``
+    components."""
     points = sum(pts for i in mults for j, (_, pts) in cfg.adjacency[i].items() if j in mults)
-    return points // 2 == len(mults) - len(cfg.components(list(mults)))
+    return points // 2 == len(mults) - count
 
 
 def _least_proper_pairing(cfg: CurveConfiguration, mults: dict, d: list[int]):
@@ -517,12 +615,11 @@ def divisor_pa(cfg: CurveConfiguration, subset=None):
         >>> divisor_pa(loop)
         1
     """
-    mults = cfg.subset_vector(subset)
-    support = [i for i, m in enumerate(mults) if m > 0]
-    if not support:
+    mults, comps, degrees = _support_facts(cfg, subset)
+    if not mults:
         raise ValueError("empty divisor")
     h0_total = 0
-    for comp in cfg.components(support):
+    for comp in comps:
         if all(mults[i] == 1 for i in comp):
             h0_total += 1
             continue
@@ -530,17 +627,19 @@ def divisor_pa(cfg: CurveConfiguration, subset=None):
         if len(comp) == 1:
             h = _h0_single_multiple(cfg.nodes[comp[0]], mults[comp[0]])
         if h is UNDETERMINED:
-            comp_m = {cfg.nodes[i].id: mults[i] for i in comp}
+            # a connected component of the support: D.C_i there is its own
+            # D_comp.C_i, since no other part of D meets it
             try:
-                if not is_numerically_k_connected(cfg, comp_m, 1):
+                if not _k_connected(cfg, {i: mults[i] for i in comp}, [degrees[i] for i in comp], 1, 1):
                     return UNDETERMINED
             except DecompositionBudgetError:
                 return UNDETERMINED
             h = 1
         h0_total += h
-    d_sq = cfg.pairing(mults, mults)
-    k_d = sum(m * kd for m, kd in zip(mults, cfg.canonical_degrees()))
-    num = d_sq + k_d
+    # D^2 + K.D = sum_i m_i (D.C_i + K.C_i), K.C_i = 2 genus - 2 - C_i^2,
+    # over the support, which the components partition
+    nodes = cfg.nodes
+    num = sum(mults[i] * (degrees[i] + 2 * nodes[i].genus - 2 - nodes[i].self_int) for comp in comps for i in comp)
     assert num % 2 == 0, "adjunction numerator is always even on a configuration"
     return num // 2 + h0_total
 
@@ -660,6 +759,6 @@ def loop_inequality_check(cfg: CurveConfiguration, chain, m1: str) -> LoopReport
     total = sum(cfg.node(c).self_int for c in chain)
     bound = -2 * len(chain) - 1
     # cycle rank of the support multigraph: distinct points count as edges
-    rank = sum(e.count for e in cfg.edges) - len(cfg.nodes) + len(cfg.components(range(len(cfg.nodes))))
+    rank = sum(e.count for e in cfg.edges) - len(cfg.nodes) + len(cfg.whole_components())
     return LoopReport(chain_length=len(chain), chain_self_int_sum=total, bound=bound,
                       inequality_holds=total <= bound, cycle_rank=rank, loop_unique=rank == 1)

@@ -144,14 +144,14 @@ def fiber_euler_number(name: str) -> int:
 
 
 def _signature(cfg: CurveConfiguration):
-    """Isomorphism-invariant signature: sorted node data + sorted edge data."""
+    """Isomorphism-invariant signature: sorted node data, and the sorted
+    ``adjacency`` entries (pairing, distinct points), one per adjacent pair,
+    so an intersection written as several edge records reads as one."""
     node_sig = sorted(
         (n.self_int, n.genus, n.mult, n.sing or "", sum(points for _, points in near.values()))
         for n, near in zip(cfg.nodes, cfg.adjacency)
     )
-    edge_sig = sorted(
-        (e.count, e.tangency) for e in cfg.edges
-    )
+    edge_sig = sorted(entry for i, near in enumerate(cfg.adjacency) for j, entry in near.items() if j > i)
     return (tuple(node_sig), tuple(edge_sig), len(cfg.triple_points))
 
 

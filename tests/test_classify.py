@@ -452,6 +452,31 @@ def test_input_validation():
         C("G", 0, LINE)
 
 
+TOP = 2**63 - 1
+
+
+@pytest.mark.parametrize("base, parts, value", [
+    # after the M1 and H terms, Gamma's first coefficient is 2^63; the G
+    # term's own 3 * 2^62 comes later
+    (Hirzebruch(0), [("M1", 1, (1, 0)), ("H", 1, (TOP, 0)), ("G", 3, (2**62, 0))], 2**63),
+    # g_i C_i is checked before it is added: its second coefficient, not
+    # the sum's first
+    (Hirzebruch(0), [("M1", 1, (TOP, 0)), ("G", 2, (1, 2**62 + 1))], 2**63 + 2),
+    # the sum's coefficients in basis order
+    (Hirzebruch(1), [("M1", 1, (TOP, TOP)), ("H", 1, (1, 2))], 2**63),
+    (Hirzebruch(1), [("M1", 1, (-TOP - 1, 0)), ("H", 1, (1, -1)), ("H", 1, (-2, 0))], -(2**63) - 1),
+    # Gamma before M1^2 = 3037000500^2
+    (P2(), [("M1", 1, (3037000500,)), ("H", 1, (TOP,))], TOP + 3037000500),
+    # M1^2 before G_i . M1 = 3037000500 * 3037000501
+    (P2(), [("M1", 1, (3037000500,)), ("G", 1, (3037000501,))], 3037000500**2),
+], ids=["sum-before-later-term", "term-before-sum", "basis-order", "below-range", "gamma-first", "m1-square"])
+def test_overflow_names_the_first_value_in_row_order(base, parts, value):
+    lat = make_lattice(base, 0)
+    inp = RationalTypeInput(base, 1, 0, tuple(C(role, g, lat.make_class(list(c))) for role, g, c in parts))
+    with pytest.raises(OverflowError, match=f"^value {value} leaves the signed 64-bit range$"):
+        match_rational_case(inp)
+
+
 def test_jacobian_bound_cases():
     assert jacobian_bound_check("I6", [1] * 6).ok
     assert jacobian_bound_check("II*", [6]).ok

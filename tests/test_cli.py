@@ -408,6 +408,25 @@ def test_check_config_json_is_pinned_on_kodaira_models_and_edits(capsys, tmp_pat
     assert digest.hexdigest() == KODAIRA_CHECK_CONFIG_SHA256
 
 
+def test_check_config_reads_a_split_edge_as_one_pair(capsys, tmp_path):
+    # I2 with its two meeting points written as two count-1 edge records:
+    # the same adjacency as one count-2 record, so the same report but for
+    # the number of edge records
+    rng, path = random.Random(27), tmp_path / "cfg.json"
+    for _ in range(2):
+        whole = _relabelled(rng, kodaira_fiber("I2").to_json())
+        (edge,) = whole["edges"]
+        split = {**whole, "edges": [{**edge, "count": 1}, {**edge, "count": 1}]}
+        reports = []
+        for data in (whole, split):
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, ["check-config", "--input", str(path), "--json"])
+            assert code == 0 and err == ""
+            reports.append(json.loads(out))
+        assert reports[0]["fiber_type"] == "I2"
+        assert reports[1] == {**reports[0], "edges": 2}
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, ["catalog"])
     assert code == 0

@@ -247,6 +247,12 @@ def configurations(draw, mults):
     return CurveConfiguration(nodes, tuple(edges))
 
 
+def is_forest(cfg, subset):
+    """``config._is_forest`` on a sub-divisor's support."""
+    mults = cfg._support(subset)
+    return config._is_forest(cfg, mults, len(cfg.components(list(mults))))
+
+
 def _box(cfg):
     return math.prod(n.mult + 1 for n in cfg.nodes)
 
@@ -420,7 +426,7 @@ def test_scan_past_int64_on_cycles():
         cases.append((_ring(n, -s, 1), 2))
     cases.append((_ring(8, -s, 2), 8 * (2 - s)))  # 6,561: least at D / 2
     for cfg, least in cases:
-        assert not config._is_forest(cfg, cfg._support(None))
+        assert not is_forest(cfg, None)
         box = _box(cfg)
         for k, expected in ((least, True), (least + 1, False)):
             if box > config._VECTORIZE_THRESHOLD:
@@ -486,7 +492,7 @@ def two_point_pair(a, b):
 def test_blocked_scan_midpoint_row_on_a_cycle():
     for a, b in ((1, 1), (32, 32)):  # 9 and 4,225 decompositions: both scans
         cfg, least = two_point_pair(a, b)
-        assert not config._is_forest(cfg, cfg._support(None))
+        assert not is_forest(cfg, None)
         assert is_numerically_k_connected(cfg, None, least)
         assert not is_numerically_k_connected(cfg, None, least + 1)
     assert _uses_numpy(lambda: is_numerically_k_connected(cfg, None, least))
@@ -554,7 +560,7 @@ def forests(draw):
 @given(forests(), st.integers(-1, 3))
 def test_forest_dp_matches_exhaustive_scan(case, k):
     cfg, subset = case
-    assert config._is_forest(cfg, cfg._support(subset))
+    assert is_forest(cfg, subset)
     assert is_numerically_k_connected(cfg, subset, k) is exhaustive_k_connected(cfg, subset, k)
 
 
@@ -575,7 +581,7 @@ def test_forest_dp_on_kodaira_near_misses(monkeypatch):
     # decompositions and against the reference up to 64, k = -1..2
     compared = forests_seen = 0
     for name, cfg in kodaira_near_misses():
-        if not config._is_forest(cfg, cfg._support(None)):
+        if not is_forest(cfg, None):
             continue
         forests_seen += 1
         box = _box(cfg)
@@ -599,7 +605,7 @@ def test_forest_dp_runs_without_numpy():
     fiber = kodaira_fiber("I8*")
     lowered = Node(fiber.nodes[0].id, fiber.nodes[0].self_int - 1, mult=fiber.nodes[0].mult)
     cfg = CurveConfiguration((lowered,) + fiber.nodes[1:], fiber.edges)
-    assert _box(cfg) > config._VECTORIZE_THRESHOLD and config._is_forest(cfg, cfg._support(None))
+    assert _box(cfg) > config._VECTORIZE_THRESHOLD and is_forest(cfg, None)
     assert not _uses_numpy(lambda: is_numerically_k_connected(cfg, None, 1))
     assert is_numerically_k_connected(cfg, None, 1)
 
@@ -743,12 +749,16 @@ def dense_log_enriques_shape(cfg):
 
 
 def dense_signature(cfg):
-    deg = {n.id: 0 for n in cfg.nodes}
+    gram, n = cfg.gram(), len(cfg.nodes)
+    points = [[0] * n for _ in range(n)]
     for e in cfg.edges:
-        deg[e.a] += e.count
-        deg[e.b] += e.count
-    node_sig = sorted((n.self_int, n.genus, n.mult, n.sing or "", deg[n.id]) for n in cfg.nodes)
-    return tuple(node_sig), tuple(sorted((e.count, e.tangency) for e in cfg.edges)), len(cfg.triple_points)
+        i, j = cfg.ids.index(e.a), cfg.ids.index(e.b)
+        points[i][j] += e.count
+        points[j][i] += e.count
+    node_sig = sorted((node.self_int, node.genus, node.mult, node.sing or "", sum(points[i]))
+                      for i, node in enumerate(cfg.nodes))
+    pair_sig = sorted((gram[i][j], points[i][j]) for i in range(n) for j in range(i + 1, n) if points[i][j])
+    return tuple(node_sig), tuple(pair_sig), len(cfg.triple_points)
 
 
 def dense_isomorphic(a, b):
@@ -944,17 +954,23 @@ def test_loop_inequality_checks_linearly_many_pairs(monkeypatch):
 @st.composite
 def fiber_variants(draw):
     """A Kodaira model with shuffled, renamed nodes and edges, either as it is
-    or after one edit."""
+    or after one edit.  A split writes an edge of count c as two records of
+    counts 1 and max(c - 1, 1): the same configuration when c >= 2."""
     name = draw(st.sampled_from(FIBER_NAMES))
     data = kodaira_fiber(name).to_json()
     rename = dict(zip((n["id"] for n in data["nodes"]), draw(st.permutations(range(len(data["nodes"]))))))
     nodes = [{**n, "id": f"v{rename[n['id']]}"} for n in data["nodes"]]
     edges = [{**e, "a": f"v{rename[e['a']]}", "b": f"v{rename[e['b']]}"} for e in data["edges"]]
     edges = [{**e, "a": e["b"], "b": e["a"]} if draw(st.booleans()) else e for e in edges]
-    edit = draw(st.sampled_from(("none", "none", "none", "self", "mult", "drop", "count", "tangency")))
+    edit = draw(st.sampled_from(("none", "none", "none", "self", "mult", "drop", "count", "tangency", "split")))
     if edit in ("self", "mult"):
         node = nodes[draw(st.integers(0, len(nodes) - 1))]
         node[edit] += 1 if edit == "mult" else draw(st.sampled_from((-1, 1)))
+    elif edit == "split" and edges:
+        e = edges.pop(draw(st.integers(0, len(edges) - 1)))
+        edges += [{**e, "count": 1}, {**e, "count": max(e["count"] - 1, 1)}]
+        if e["count"] == 1:  # one more meeting point: a near-miss
+            edit = "count"
     elif edges and edit != "none":
         k = draw(st.integers(0, len(edges) - 1))
         if edit == "drop":
@@ -964,7 +980,7 @@ def fiber_variants(draw):
     triples = [[f"v{rename[x]}" for x in t] for t in data.get("triples", ())]
     cfg = config_from_json({"nodes": draw(st.permutations(nodes)), "edges": draw(st.permutations(edges)),
                             "triples": triples})
-    return cfg, name if edit == "none" else None
+    return cfg, name if edit in ("none", "split") else None
 
 
 @settings(max_examples=70, deadline=None, derandomize=True)
@@ -975,6 +991,71 @@ def test_recognize_fiber_matches_dense(case):
     assert found == dense_recognize_fiber(cfg)
     if name is not None:
         assert found == name
+
+
+def checked_config_from_json(data):
+    """The item-by-item reader that ``config_from_json``'s one pass replaced:
+    the whole list's shape first, then each item's fields in order."""
+    if not isinstance(data, dict) or not data.get("nodes"):
+        raise ValueError("a configuration must be a JSON object with a nonempty 'nodes' list")
+    nodes = tuple(
+        Node(str(n["id"]), config._json_int(n, "self"), config._json_int(n, "genus", 0),
+             config._json_int(n, "mult", 1), n.get("sing"))
+        for n in config._json_list(data, "nodes", dict, ("id",))
+    )
+    edges = tuple(
+        Edge(str(e["a"]), str(e["b"]), config._json_int(e, "count", 1), config._json_int(e, "tangency", 1))
+        for e in config._json_list(data, "edges", dict, ("a", "b"))
+    )
+    triples = tuple(tuple(map(str, t)) for t in config._json_list(data, "triples", list))
+    return CurveConfiguration(nodes, edges, triples)
+
+
+def read_outcome(read, data):
+    """The configuration read, or the type and message of what was raised."""
+    try:
+        return read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BAD_VALUES = (-1, 0, 2.0, -1.5, True, False, "1", None, [1], "node", "bogus")
+
+
+@st.composite
+def json_configurations(draw):
+    """Node and edge lists of up to four items, each valid or with one field
+    removed or replaced, and sometimes a whole list replaced."""
+    def item(valid, keys):
+        if draw(st.integers(0, 3)):
+            return valid
+        if not draw(st.integers(0, 5)):
+            return draw(st.sampled_from((5, "x", [], None)))
+        key = draw(st.sampled_from(keys))
+        if key in valid and not draw(st.integers(0, 3)):
+            return {k: v for k, v in valid.items() if k != key}
+        return {**valid, key: draw(st.sampled_from(BAD_VALUES))}
+
+    ids = [f"N{i}" for i in range(draw(st.integers(1, 4)))]
+    nodes = [item({"id": x, "self": draw(st.integers(-3, 0))}, ("id", "self", "genus", "mult", "sing"))
+             for x in ids]
+    edges = [item({"a": draw(st.sampled_from(ids + ["Z"])), "b": draw(st.sampled_from(ids))},
+                  ("a", "b", "count", "tangency"))
+             for _ in range(draw(st.integers(0, 4)))]
+    data = {"nodes": nodes, "edges": edges}
+    for key in ("nodes", "edges"):
+        if not draw(st.integers(0, 5)):
+            data[key] = draw(st.sampled_from((5, "abc", {"id": "A"}, tuple(data[key]), [])))
+    if draw(st.integers(0, 3)) == 0:
+        data["triples"] = draw(st.sampled_from(([ids[:3]], [5], "abc", [["N0", "N0", "N1"]])))
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(json_configurations())
+def test_config_from_json_matches_the_checked_reader(data):
+    # the same configuration, or the same exception with the same message
+    assert read_outcome(config_from_json, data) == read_outcome(checked_config_from_json, data)
 
 
 def test_config_from_json_loads_every_model_and_refuses_non_integers():
