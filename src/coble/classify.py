@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .config import UNDETERMINED, CurveConfiguration, check_snc, divisor_pa
+from .config import UNDETERMINED, CurveConfiguration, _json_value, check_snc, divisor_pa
 from .fibers import fiber_family
 from .lattice import Base, DivisorClass, P2, _check_i64, base_from_json, make_lattice, pair
 
@@ -129,8 +129,7 @@ def input_from_json(data) -> RationalTypeInput:
     JSON integer; a non-integer or a wrong shape raises ValueError naming
     the field.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _json_value(data)
     lat = make_lattice(base_from_json(_json_field(data, "y_min")), 0)
     comps = []
     for i, c in enumerate(_json_field(data, "components", "", list)):
@@ -161,7 +160,11 @@ def _json_field(obj, key: str, where: str = "", kind=None):
 def _json_typed(value, name: str, kind: type):
     if type(value) is not kind:  # exact arithmetic: no bool, float or string for an int
         what = "integer" if kind is int else "array"
-        raise ValueError(f"{name} must be a JSON {what}, got {json.dumps(value, default=repr)}")
+        try:
+            got = json.dumps(value, default=repr)
+        except RecursionError:  # decoded, but nested too deeply to encode from here
+            got = "a value nested too deeply to print"
+        raise ValueError(f"{name} must be a JSON {what}, got {got}")
     return value
 
 

@@ -90,7 +90,7 @@ class DecompositionBudgetError(ValueError):
     """A decomposition scan refused up front for its size."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     self_int: int
@@ -107,7 +107,7 @@ class Node:
             raise ValueError(f"node {self.id}: unknown singularity marker {self.sing!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     a: str
     b: str
@@ -158,7 +158,7 @@ class CurveConfiguration:
             pairing, points = adjacency[i].get(j, (0, 0))
             adjacency[i][j] = adjacency[j][i] = (pairing + e.count * e.tangency, points + e.count)
         for t in self.triple_points:
-            if len(set(t)) != 3 or any(x not in index for x in t):
+            if len(t) != 3 or len(set(t)) != 3 or any(x not in index for x in t):
                 raise ValueError(f"triple point {t} must name three distinct nodes")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "adjacency", adjacency)
@@ -282,12 +282,37 @@ class CurveConfiguration:
         return data
 
 
+def _json_value(data):
+    """JSON text decoded, or ``data`` itself when it is already decoded;
+    text nested past the interpreter's recursion limit raises ValueError."""
+    if not isinstance(data, str):
+        return data
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _json_list(data: dict, key: str, kind: type, required: tuple = ()) -> list:
+    """``data[key]`` (default []) if it is a list whose items are all
+    ``kind`` and hold every ``required`` key; otherwise ValueError."""
     items = data.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(x, kind) and all(r in x for r in required) for x in items):
-        what = "arrays" if kind is list else "objects with " + " and ".join(map(repr, required))
-        raise ValueError(f"{key!r} must be a list of JSON {what}")
-    return items
+    if _is_list_of(items, kind, required):
+        return items
+    what = "arrays" if kind is list else "objects with " + " and ".join(map(repr, required))
+    raise ValueError(f"{key!r} must be a list of JSON {what}")
+
+
+def _is_list_of(items, kind: type, required: tuple) -> bool:
+    if not isinstance(items, list):
+        return False
+    for x in items:
+        if not isinstance(x, kind):
+            return False
+        for r in required:
+            if r not in x:
+                return False
+    return True
 
 
 def _json_int(obj: dict, key: str, default=None) -> int:
@@ -303,57 +328,27 @@ def config_from_json(data) -> CurveConfiguration:
     no nodes, or a ``self``, ``genus``, ``mult``, ``count`` or ``tangency``
     that is not a JSON integer raises ValueError naming the field.
 
-    Nodes and edges are checked and built in one pass per list.  At the
-    first item that pass does not accept, the lists are read again item by
-    item (``_json_list``, ``_json_int``) to word the refusal."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    The node list's shape is checked whole (``_json_list``), then each node
+    is built in order; then the edges the same way, then the triples.  An
+    item with a field that is not an integer is read again field by field
+    (``_json_int``) only to word its refusal."""
+    data = _json_value(data)
     if not isinstance(data, dict) or not data.get("nodes"):
         raise ValueError("a configuration must be a JSON object with a nonempty 'nodes' list")
-    try:
-        nodes = _in_one_pass(data["nodes"], _node_in_one_pass)
-        edges = _in_one_pass(data.get("edges", []), _edge_in_one_pass)
-    except ValueError:  # something to refuse: read the lists again to word it
-        nodes = tuple(
-            Node(str(n["id"]), _json_int(n, "self"), _json_int(n, "genus", 0), _json_int(n, "mult", 1), n.get("sing"))
-            for n in _json_list(data, "nodes", dict, ("id",))
-        )
-        edges = tuple(
-            Edge(str(e["a"]), str(e["b"]), _json_int(e, "count", 1), _json_int(e, "tangency", 1))
-            for e in _json_list(data, "edges", dict, ("a", "b"))
-        )
+    nodes = []
+    for n in _json_list(data, "nodes", dict, ("id",)):
+        s, genus, mult = n.get("self"), n.get("genus", 0), n.get("mult", 1)
+        if type(s) is not int or type(genus) is not int or type(mult) is not int:
+            s, genus, mult = _json_int(n, "self"), _json_int(n, "genus", 0), _json_int(n, "mult", 1)
+        nodes.append(Node(str(n["id"]), s, genus, mult, n.get("sing")))
+    edges = []
+    for e in _json_list(data, "edges", dict, ("a", "b")):
+        count, tangency = e.get("count", 1), e.get("tangency", 1)
+        if type(count) is not int or type(tangency) is not int:
+            count, tangency = _json_int(e, "count", 1), _json_int(e, "tangency", 1)
+        edges.append(Edge(str(e["a"]), str(e["b"]), count, tangency))
     triples = tuple(tuple(map(str, t)) for t in _json_list(data, "triples", list))
-    return CurveConfiguration(nodes, edges, triples)
-
-
-def _in_one_pass(items, read) -> tuple:
-    """``read`` applied to each item of a JSON list; anything but a list
-    raises ValueError unworded."""
-    if type(items) is not list:
-        raise ValueError
-    return tuple(map(read, items))
-
-
-def _node_in_one_pass(n) -> Node:
-    """A node from a JSON object with an ``id`` and integer ``self``,
-    ``genus`` and ``mult``; anything else raises ValueError unworded."""
-    if type(n) is not dict or "id" not in n:
-        raise ValueError
-    s, genus, mult = n.get("self"), n.get("genus", 0), n.get("mult", 1)
-    if type(s) is not int or type(genus) is not int or type(mult) is not int:
-        raise ValueError
-    return Node(str(n["id"]), s, genus, mult, n.get("sing"))
-
-
-def _edge_in_one_pass(e) -> Edge:
-    """An edge from a JSON object with ``a``, ``b`` and integer ``count``
-    and ``tangency``; anything else raises ValueError unworded."""
-    if type(e) is not dict or "a" not in e or "b" not in e:
-        raise ValueError
-    count, tangency = e.get("count", 1), e.get("tangency", 1)
-    if type(count) is not int or type(tangency) is not int:
-        raise ValueError
-    return Edge(str(e["a"]), str(e["b"]), count, tangency)
+    return CurveConfiguration(tuple(nodes), tuple(edges), triples)
 
 
 def _zariski_verdict(cfg: CurveConfiguration, mults: dict, d: list[int], k: int, count: int):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -429,6 +430,15 @@ def test_perturbed_matches_nothing_and_names_the_broken_constraint(case):
 def test_input_json_round_trip(case):
     inp = GOLDEN[case]
     assert input_from_json(json.dumps(inp.to_json())) == inp
+
+
+def test_input_nested_at_any_depth_is_refused_with_value_error():
+    # from just under the decoder's recursion limit the refusal's own wording
+    # can reach it while encoding the value; past the limit decoding does
+    for depth in range(1, sys.getrecursionlimit() + 10):
+        text = '{"y_min": "P2", "k": %s, "m": 0, "components": []}' % ("[" * depth + "]" * depth)
+        with pytest.raises(ValueError, match="^k must be a JSON integer|nested too deeply"):
+            input_from_json(text)
 
 
 def test_quadric_alias_descriptor():

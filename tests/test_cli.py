@@ -28,6 +28,10 @@ CASE9_INPUT = {
 }
 
 
+# past the interpreter's recursion limit, where the decoder raises RecursionError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -130,8 +134,10 @@ def _case9(**changes):
     (_case9(y_min="P3"), "unknown base 'P3'"),
     ("[]", "classification input must be a JSON object"),
     ('{"y_min": "P2"}', "missing field components"),
+    (DEEP_JSON, "nested too deeply"),
 ], ids=["float-g", "float-class", "bool-k", "string-m", "string-class", "class-length", "float-marked-point",
-        "marked-point-list", "number-components", "number-component", "float-Fb", "P3", "list", "no-components"])
+        "marked-point-list", "number-components", "number-component", "float-Fb", "P3", "list", "no-components",
+        "deep"])
 def test_classify_refuses_malformed_input(capsys, tmp_path, text, field):
     # exact arithmetic: a number that is not a JSON integer is refused, not truncated
     path = tmp_path / "bad.json"
@@ -286,6 +292,9 @@ def test_check_config_errors(capsys, tmp_path):
     ('{"nodes": [{"id": "A", "self": null}]}', "'self'"),
     ('{"nodes": [{"id": "A", "self": -1}], "triples": [5]}', "'triples'"),
     ('{"nodes": []}', "'nodes'"),
+    pytest.param(json.dumps({**kodaira_fiber("IV").to_json(), "triples": [["A", "B", "C", "A"]]}),
+                 "must name three distinct nodes", id="four-entry-triple"),
+    pytest.param(DEEP_JSON, "nested too deeply", id="deep"),
 ])
 def test_check_config_malformed_input(capsys, tmp_path, text, field):
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Dual-graph divisor arithmetic: genus, connectedness, SNC, loop bound."""
 
+import collections
 import functools
 import itertools
 import json
@@ -993,21 +994,37 @@ def test_recognize_fiber_matches_dense(case):
         assert found == name
 
 
+def checked_json_list(data: dict, key: str, kind: type, required: tuple = ()) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, kind) and all(r in x for r in required) for x in items):
+        what = "arrays" if kind is list else "objects with " + " and ".join(map(repr, required))
+        raise ValueError(f"{key!r} must be a list of JSON {what}")
+    return items
+
+
+def checked_json_int(obj: dict, key: str, default=None) -> int:
+    value = obj.get(key, default)
+    if type(value) is not int:
+        got, where = (json.dumps(x, default=repr) for x in (value, obj))
+        raise ValueError(f"{key!r} must be an integer, got {got} in {where}")
+    return value
+
+
 def checked_config_from_json(data):
-    """The item-by-item reader that ``config_from_json``'s one pass replaced:
-    the whole list's shape first, then each item's fields in order."""
+    """An item-by-item reader, independent of ``config``'s helpers: the
+    whole list's shape first, then each item's fields in order."""
     if not isinstance(data, dict) or not data.get("nodes"):
         raise ValueError("a configuration must be a JSON object with a nonempty 'nodes' list")
     nodes = tuple(
-        Node(str(n["id"]), config._json_int(n, "self"), config._json_int(n, "genus", 0),
-             config._json_int(n, "mult", 1), n.get("sing"))
-        for n in config._json_list(data, "nodes", dict, ("id",))
+        Node(str(n["id"]), checked_json_int(n, "self"), checked_json_int(n, "genus", 0),
+             checked_json_int(n, "mult", 1), n.get("sing"))
+        for n in checked_json_list(data, "nodes", dict, ("id",))
     )
     edges = tuple(
-        Edge(str(e["a"]), str(e["b"]), config._json_int(e, "count", 1), config._json_int(e, "tangency", 1))
-        for e in config._json_list(data, "edges", dict, ("a", "b"))
+        Edge(str(e["a"]), str(e["b"]), checked_json_int(e, "count", 1), checked_json_int(e, "tangency", 1))
+        for e in checked_json_list(data, "edges", dict, ("a", "b"))
     )
-    triples = tuple(tuple(map(str, t)) for t in config._json_list(data, "triples", list))
+    triples = tuple(tuple(map(str, t)) for t in checked_json_list(data, "triples", list))
     return CurveConfiguration(nodes, edges, triples)
 
 
@@ -1025,16 +1042,18 @@ BAD_VALUES = (-1, 0, 2.0, -1.5, True, False, "1", None, [1], "node", "bogus")
 @st.composite
 def json_configurations(draw):
     """Node and edge lists of up to four items, each valid or with one field
-    removed or replaced, and sometimes a whole list replaced."""
+    removed or replaced, sometimes as an ``OrderedDict``, and sometimes a
+    whole list replaced."""
     def item(valid, keys):
-        if draw(st.integers(0, 3)):
-            return valid
-        if not draw(st.integers(0, 5)):
-            return draw(st.sampled_from((5, "x", [], None)))
-        key = draw(st.sampled_from(keys))
-        if key in valid and not draw(st.integers(0, 3)):
-            return {k: v for k, v in valid.items() if k != key}
-        return {**valid, key: draw(st.sampled_from(BAD_VALUES))}
+        if not draw(st.integers(0, 3)):
+            if not draw(st.integers(0, 5)):
+                return draw(st.sampled_from((5, "x", [], None)))
+            key = draw(st.sampled_from(keys))
+            if key in valid and not draw(st.integers(0, 3)):
+                valid = {k: v for k, v in valid.items() if k != key}
+            else:
+                valid = {**valid, key: draw(st.sampled_from(BAD_VALUES))}
+        return valid if draw(st.integers(0, 4)) else collections.OrderedDict(valid)
 
     ids = [f"N{i}" for i in range(draw(st.integers(1, 4)))]
     nodes = [item({"id": x, "self": draw(st.integers(-3, 0))}, ("id", "self", "genus", "mult", "sing"))
@@ -1047,7 +1066,7 @@ def json_configurations(draw):
         if not draw(st.integers(0, 5)):
             data[key] = draw(st.sampled_from((5, "abc", {"id": "A"}, tuple(data[key]), [])))
     if draw(st.integers(0, 3)) == 0:
-        data["triples"] = draw(st.sampled_from(([ids[:3]], [5], "abc", [["N0", "N0", "N1"]])))
+        data["triples"] = draw(st.sampled_from(([ids[:3]], [5], "abc", [["N0", "N0", "N1"]], [ids[:3] + ids[:1]])))
     return data
 
 
@@ -1066,6 +1085,13 @@ def test_config_from_json_loads_every_model_and_refuses_non_integers():
             config_from_json({"nodes": [{"id": "A", "self": bad}]})
     with pytest.raises(ValueError, match="'nodes'"):
         config_from_json({"nodes": []})
+
+
+def test_config_nested_at_any_depth_is_refused_with_value_error():
+    for depth in range(1, sys.getrecursionlimit() + 10):
+        deep = "[" * depth + "]" * depth
+        with pytest.raises(ValueError, match="'self' must be an integer|nested too deeply"):
+            config_from_json('{"nodes": [{"id": %s, "self": %s}]}' % (deep, deep))
 
 
 def test_library_builds_no_dense_gram(monkeypatch, tmp_path, capsys):
